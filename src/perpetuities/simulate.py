@@ -5,11 +5,18 @@ is X_k = M_k X_{k-1} + Q_k.  Both are emitted as step paths t -> log|.| at
 index [nt]+1 on [0, T]: the value on [k/n, (k+1)/n) is the (k+1)-th iterate,
 so every path jumps only at multiples of 1/n.
 
-All accumulation runs in signed log space: a term's magnitude is
-S_{i-1} + log|Q_i| with S the running sum of log|M|, never exponentiated.
-Near-cancellations are flagged and surface as per-replication counts so the
-statistical layer can exclude them; an exact zero iterate (excluded by the
-model assumptions, possible only for contrived point-mass laws) raises.
+Both chains run through one prefix-pool kernel in signed log space, with
+S_k = log|M_1...M_k| the running sum of log|M| and Pi_k = M_1...M_k.  The
+backward terms have magnitudes S_{i-1} + log|Q_i|.  The forward chain
+unrolls to the closed form X_k = Pi_k (x0 + sum_{i<=k} Q_i / Pi_i), so its
+terms have magnitudes log|Q_i| - S_i (x0 leads as one more term) and the
+pool sum is shifted back by S_k.  Each sign pool is a prefix log-sum-exp,
+and the two pools meet in a single signed combine per iterate, so no
+magnitude is ever exponentiated.  Near-cancelled combines are flagged and
+surface as per-replication counts so the statistical layer can exclude
+them; an exact zero iterate (excluded by the model assumptions, possible
+only for contrived point-mass laws) raises in the path API and is flagged
+in the batch samplers.
 
 Replication r of a run with master seed s draws from the dedicated stream
 ``default_rng([s, r])``, which makes every batch independent of chunking
@@ -27,7 +34,9 @@ import numpy as np
 from .errors import ParameterError, StatisticalError
 from .laws import CoefficientLaw, draw_log_mq
 from .paths import StepPath
-from .slog import signed_log_add_arrays, signed_log_diff
+# signed_log_add_arrays is unused here but stays importable from this
+# module: bench/tracing.py wraps perpetuities.simulate.signed_log_add_arrays
+from .slog import signed_log_add_arrays, signed_log_diff  # noqa: F401
 
 __all__ = [
     "SimScenario",
@@ -43,8 +52,6 @@ __all__ = [
     "pakes_values",
     "write_paths_csv",
 ]
-
-_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -76,16 +83,30 @@ def replication_rng(seed: int, rep: int):
     return np.random.default_rng([int(seed), int(rep)])
 
 
-def _backward_mags(law: CoefficientLaw, rng, count: int):
-    """(sign, logmag, cancelled) of Y_1..Y_count via prefix two-pool sums."""
+def _chain_mags(law: CoefficientLaw, rng, count: int, x0: float = 0.0, forward: bool = False):
+    """(sign, logmag, cancelled) of the first ``count`` iterates of one chain.
+
+    Backward: Y_k is the prefix sum of the terms Pi_{i-1} Q_i.  Forward:
+    X_k = Pi_k (x0 + sum_{i<=k} Q_i / Pi_i), the prefix sum of x0 and the
+    terms Q_i / Pi_i, times Pi_k.  ``cancelled[k]`` marks a near-total loss
+    of magnitude in the k-th combine of the positive and negative pools.
+    """
     sign_m, log_m, sign_q, log_q = draw_log_mq(law, rng, count)
-    S = np.concatenate(([0.0], np.cumsum(log_m[:-1])))
-    sign_pi = np.concatenate(([1], np.cumprod(sign_m[:-1])))
-    term_sign = sign_pi * sign_q
-    term_mag = S + log_q
+    S = np.cumsum(log_m)
+    sign_pi = np.cumprod(sign_m)
+    if forward:
+        term_sign = np.concatenate(([np.sign(x0)], sign_pi * sign_q))
+        term_mag = np.concatenate(([math.log(abs(x0)) if x0 else -np.inf], log_q - S))
+    else:
+        term_sign = np.concatenate(([1], sign_pi[:-1])) * sign_q
+        term_mag = np.concatenate(([0.0], S[:-1])) + log_q
     pos = np.logaddexp.accumulate(np.where(term_sign > 0, term_mag, -np.inf))
     neg = np.logaddexp.accumulate(np.where(term_sign < 0, term_mag, -np.inf))
-    return signed_log_diff(pos, neg)
+    sign, mag, cancelled = signed_log_diff(pos, neg)
+    if forward:
+        # entry 0 is the pool of x0 alone
+        return sign_pi * sign[1:], S + mag[1:], cancelled[1:]
+    return sign, mag, cancelled
 
 
 def _emit_path(s: SimScenario, mags, cancel_count: int, kind: str, rep: int) -> StepPath:
@@ -110,54 +131,16 @@ def _emit_path(s: SimScenario, mags, cancel_count: int, kind: str, rep: int) -> 
 
 def simulate_perpetuity_path(s: SimScenario, rep: int = 0) -> StepPath:
     """Step path t -> log|Y_{[nt]+1}| on [0, T], unscaled."""
-    sign, mag, cancelled = _backward_mags(s.law, replication_rng(s.seed, rep), s.steps)
+    sign, mag, cancelled = _chain_mags(s.law, replication_rng(s.seed, rep), s.steps)
     return _emit_path(s, mag, np.sum(cancelled), "backward", rep)
-
-
-def _forward_scan(law, x0, seed, reps, count, track, rep_start=0):
-    """Evolve X_k = M_k X_{k-1} + Q_k for a block of replications.
-
-    track: 'last' -> final logmag per rep; 'max' -> running max of emitted
-    logmags; 'all' -> (reps, count) matrix.  Also returns per-rep flag
-    counts and a bool mask of reps whose tracked value is poisoned by an
-    exact zero.
-    """
-    sm = np.empty((reps, count))
-    lm = np.empty((reps, count))
-    sq = np.empty((reps, count))
-    lq = np.empty((reps, count))
-    for r in range(reps):
-        rng = replication_rng(seed, rep_start + r)
-        sm[r], lm[r], sq[r], lq[r] = draw_log_mq(law, rng, count)
-    sign = np.zeros(reps) if x0 == 0 else np.full(reps, np.sign(x0))
-    mag = np.full(reps, -np.inf) if x0 == 0 else np.full(reps, math.log(abs(x0)))
-    cancel = np.zeros(reps, dtype=np.int64)
-    best = np.full(reps, -np.inf)
-    out = np.empty((reps, count)) if track == "all" else None
-    zero_hit = np.zeros(reps, dtype=bool)
-    for k in range(count):
-        sign, mag, flagged = signed_log_add_arrays(
-            sign * sm[:, k], mag + lm[:, k], sq[:, k], lq[:, k]
-        )
-        cancel += flagged
-        zero_hit |= sign == 0
-        if track == "max":
-            best = np.maximum(best, mag)
-        elif track == "all":
-            out[:, k] = mag
-    if track == "last":
-        return mag, cancel, zero_hit
-    if track == "max":
-        return best, cancel, zero_hit
-    return out, cancel, zero_hit
 
 
 def simulate_forward_chain_path(s: SimScenario, rep: int = 0) -> StepPath:
     """Step path t -> log|X_{[nt]+1}| on [0, T], started from x0, unscaled."""
-    mags, cancel, zero_hit = _forward_scan(
-        s.law, s.x0, s.seed, 1, s.steps, "all", rep_start=rep
+    sign, mag, cancelled = _chain_mags(
+        s.law, replication_rng(s.seed, rep), s.steps, s.x0, forward=True
     )
-    return _emit_path(s, mags[0], cancel[0], "forward", rep)
+    return _emit_path(s, mag, np.sum(cancelled), "forward", rep)
 
 
 def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: int = 0) -> float:
@@ -201,20 +184,33 @@ def _run_jobs(worker, reps, jobs):
         return list(pool.map(lambda ab: worker(*ab), ranges))
 
 
-def _backward_batch(law, n, count, extract, reps, seed, rep_start, jobs):
+def _batch(law, count, extract, reps, seed, rep_start, jobs, x0=0.0, forward=False):
     values = np.empty(reps)
     flags = np.zeros(reps, dtype=np.int64)
 
     def worker(lo, hi):
         for r in range(lo, hi):
-            sign, mag, cancelled = _backward_mags(
-                law, replication_rng(seed, rep_start + r), count
+            sign, mag, cancelled = _chain_mags(
+                law, replication_rng(seed, rep_start + r), count, x0, forward
             )
             values[r], flags[r] = extract(sign, mag, cancelled)
         return None
 
     _run_jobs(worker, reps, jobs)
     return values, flags
+
+
+def _prefix_flag(sign, cancelled):
+    """Cancelled combines plus one if any iterate is exactly zero."""
+    return int(np.sum(cancelled)) + int(np.any(sign == 0))
+
+
+def _sup(sign, mag, cancelled):
+    return np.max(mag), _prefix_flag(sign, cancelled)
+
+
+def _last(sign, mag, cancelled):
+    return mag[-1], _prefix_flag(sign, cancelled)
 
 
 def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
@@ -225,46 +221,30 @@ def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
         bad = int(cancelled[idx - 1]) + int(sign[idx - 1] == 0)
         return mag[idx - 1], bad
 
-    return _backward_batch(law, n, idx, extract, reps, seed, rep_start, jobs)
+    return _batch(law, idx, extract, reps, seed, rep_start, jobs)
 
 
 def backward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
     """sup over [0, T] of log|Y_{[nt]+1}| per replication."""
     count = int(math.floor(n * T)) + 1
-
-    def extract(sign, mag, cancelled):
-        return np.max(mag), int(np.sum(cancelled)) + int(np.any(sign == 0))
-
-    return _backward_batch(law, n, count, extract, reps, seed, rep_start, jobs)
-
-
-def _forward_batch(law, n, count, track, reps, seed, x0, rep_start, jobs):
-    values = np.empty(reps)
-    flags = np.zeros(reps, dtype=np.int64)
-
-    def worker(lo, hi):
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            vals, cancel, zero_hit = _forward_scan(
-                law, x0, seed, stop - start, count, track, rep_start + start
-            )
-            values[start:stop] = vals
-            flags[start:stop] = cancel + zero_hit
-        return None
-
-    _run_jobs(worker, reps, jobs)
-    return values, flags
+    return _batch(law, count, _sup, reps, seed, rep_start, jobs)
 
 
 def forward_marginal_values(law, n, u, reps, seed, x0=0.0, rep_start=0, jobs=1):
-    """log|X_{[nu]+1}| per replication, started from x0."""
-    return _forward_batch(law, n, _index_at(n, u), "last", reps, seed, x0, rep_start, jobs)
+    """log|X_{[nu]+1}| per replication, started from x0.
+
+    Unlike the backward marginal, whose flag looks at the endpoint only, a
+    forward flag counts every cancelled prefix combine up to the index and
+    adds one if any iterate up to it is exactly zero.
+    """
+    idx = _index_at(n, u)
+    return _batch(law, idx, _last, reps, seed, rep_start, jobs, x0, forward=True)
 
 
 def forward_sup_values(law, n, T, reps, seed, x0=0.0, rep_start=0, jobs=1):
     """sup over [0, T] of log|X_{[nt]+1}| per replication."""
     count = int(math.floor(n * T)) + 1
-    return _forward_batch(law, n, count, "max", reps, seed, x0, rep_start, jobs)
+    return _batch(law, count, _sup, reps, seed, rep_start, jobs, x0, forward=True)
 
 
 def pakes_values(a, law, n, reps, seed, rep_start=0, jobs=1):

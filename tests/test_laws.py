@@ -106,6 +106,15 @@ class TestTailQ:
             xs = quantile_log_q(law, us)
             np.testing.assert_allclose(tail_Q(law, xs), us, rtol=1e-9)
 
+    def test_slow_var_quantile_near_branch_point(self):
+        # (1 + w)e^{-w} = 1 - w^2/2 + O(w^3), so w = log of the returned
+        # value tends to sqrt(2(1 - u)) as u -> 1, where a closed form
+        # through the -1 branch of Lambert W sits next to its branch point
+        for d in (1e-10, 1e-12):
+            u = 1.0 - d
+            w = math.log(float(quantile_log_q(CoefficientLaw("RegVarTail", alpha=1.0), u)))
+            np.testing.assert_allclose(w, math.sqrt(2.0 * (1.0 - u)), rtol=1e-4)
+
     def test_quantile_rejects_bad_probability(self):
         with pytest.raises(ParameterError):
             quantile_log_q(RANDOM_FAMILIES[0], 0.0)

@@ -1,5 +1,6 @@
 """Tests for path simulation and batch value samplers."""
 
+import decimal
 import io
 import math
 
@@ -103,16 +104,30 @@ class TestForwardChainPath:
         np.testing.assert_allclose(f.values[1], math.log(3.5), rtol=1e-12)
 
     def test_matches_scalar_recursion(self):
-        law = preset_law("convergent")
-        s = SimScenario(law, n=25, T=1.0, seed=21)
-        f = simulate_forward_chain_path(s, rep=4)
-        sm, lm, sq, lq = draw_log_mq(law, replication_rng(21, 4), s.steps)
-        x = 0.0
-        direct = []
-        for k in range(s.steps):
-            x = sm[k] * math.exp(lm[k]) * x + sq[k] * math.exp(lq[k])
-            direct.append(math.log(abs(x)))
-        np.testing.assert_allclose(f.values, direct, rtol=1e-9)
+        cases = [
+            (preset_law("convergent"), 25, 0.0),
+            # the Pi_k x0 term and the signs of the M products
+            (preset_law("convergent", p_M=0.5), 25, 3.0),
+            (preset_law("convergent"), 25, -2.0),
+            # |S_k| in the thousands: the closed form adds S_k back to a
+            # pool of comparable size
+            (preset_law("heavynegm"), 200, 0.0),
+        ]
+        # x = m x + q in 60-digit decimals, whose exponent range holds the
+        # heavy-tailed coefficients that overflow or underflow a float
+        ctx = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        for law, n, x0 in cases:
+            s = SimScenario(law, n=n, T=1.0, x0=x0, seed=21)
+            f = simulate_forward_chain_path(s, rep=4)
+            sm, lm, sq, lq = draw_log_mq(law, replication_rng(21, 4), s.steps)
+            with decimal.localcontext(ctx):
+                x = decimal.Decimal(x0)
+                direct = []
+                for k in range(s.steps):
+                    m = int(sm[k]) * decimal.Decimal(float(lm[k])).exp()
+                    x = m * x + int(sq[k]) * decimal.Decimal(float(lq[k])).exp()
+                    direct.append(float(abs(x).ln()))
+            np.testing.assert_allclose(f.values, direct, rtol=1e-9, err_msg=f"{law} x0={x0}")
 
     def test_pathwise_differs_from_backward(self):
         s = SimScenario(preset_law("cauchy"), n=50, T=1.0, seed=9)
@@ -130,6 +145,39 @@ class TestForwardChainPath:
         assert fy.sum() == 0 and fx.sum() == 0
         stat = ks_2samp(y, x, method="asymp")
         assert stat.pvalue > 0.01
+
+
+class TestForwardFlags:
+    # M = -1, Q = 1 from 0: X_k = 1 for odd k and exactly 0 for even k,
+    # and Y_k is the same sequence
+    FLIP = CoefficientLaw("Degenerate", m0=-1.0, q0=1.0)
+
+    def test_forward_flags_count_every_prefix(self):
+        # a forward flag counts the cancelled prefix combines (one per zero
+        # iterate) up to the index, plus one for any exact zero up to it
+        for n, expected in [(1, 2), (2, 2), (50, 26)]:
+            _, flags = forward_marginal_values(self.FLIP, n, 1.0, 3, seed=3)
+            np.testing.assert_array_equal(flags, expected)
+        _, flags = forward_sup_values(self.FLIP, 50, 1.0, 3, seed=3)
+        np.testing.assert_array_equal(flags, 26)
+
+    def test_backward_marginal_flags_only_the_endpoint(self):
+        # Y_51 = 1 after 25 zero iterates; Y_50 = 0 is cancelled and zero
+        vals, flags = backward_marginal_values(self.FLIP, 50, 1.0, 3, seed=3)
+        np.testing.assert_allclose(vals, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(flags, 0)
+        _, flags = backward_marginal_values(self.FLIP, 49, 1.0, 3, seed=3)
+        np.testing.assert_array_equal(flags, 2)
+
+    def test_path_cancel_count(self):
+        # M = Q = 1 from x0 = -1 + 2^-45: X_1 = 2^-45 keeps 2^-45 of the
+        # pool magnitude, below CANCEL_RTOL; X_2 = 1 + 2^-45 is clean
+        s = SimScenario(UNIT, n=3, T=1.0, x0=-1.0 + 2.0 ** -45)
+        p = simulate_forward_chain_path(s)
+        assert p.meta["cancel_count"] == 1 and p.meta["degenerate"]
+        np.testing.assert_allclose(p.values[1:], np.log(np.arange(1, 4) + 2.0 ** -45))
+        with pytest.raises(StatisticalError):
+            simulate_forward_chain_path(SimScenario(self.FLIP, n=4, T=1.0))
 
 
 class TestPakesSum:
@@ -196,7 +244,7 @@ class TestBatchSamplers:
         vals, flags = forward_sup_values(law, 40, 1.0, 4, seed=47)
         for rep in range(4):
             p = simulate_forward_chain_path(SimScenario(law, n=40, T=1.0, seed=47), rep=rep)
-            np.testing.assert_allclose(vals[rep], np.max(p.values), rtol=1e-12)
+            assert vals[rep] == np.max(p.values)
 
     def test_jobs_do_not_change_results(self):
         law = preset_law("cauchy")
@@ -207,6 +255,11 @@ class TestBatchSamplers:
         w1, g1 = forward_marginal_values(law, 30, 1.0, 37, seed=53, jobs=1)
         w4, g4 = forward_marginal_values(law, 30, 1.0, 37, seed=53, jobs=4)
         np.testing.assert_array_equal(w1, w4)
+        np.testing.assert_array_equal(g1, g4)
+        z1, h1 = forward_sup_values(law, 30, 1.0, 37, seed=53, jobs=1)
+        z3, h3 = forward_sup_values(law, 30, 1.0, 37, seed=53, jobs=3)
+        np.testing.assert_array_equal(z1, z3)
+        np.testing.assert_array_equal(h1, h3)
 
     def test_rep_start_shifts_streams(self):
         law = preset_law("cauchy")
