@@ -132,36 +132,42 @@ def tail_Q(law: CoefficientLaw, x):
     return out if out.ndim else float(out)
 
 
+def _slow_var_log(L: np.ndarray) -> np.ndarray:
+    # root w >= 0 of w - log1p(w) = L.  Start from the series sqrt(2L) + 2L/3
+    # at the branch point L = 0, where Lambert W loses every digit, and from
+    # L + log1p(L + log1p(L)) above L = 1; four Newton steps on this convex
+    # function reach the float root from either.  w = 0 (u = 1) stays fixed.
+    w = np.where(L < 1.0, np.sqrt(2.0 * L) + 2.0 * L / 3.0, L + np.log1p(L + np.log1p(L)))
+    for _ in range(4):
+        w = w - (w - np.log1p(w) - L) * (1.0 + w) / np.where(w == 0.0, 1.0, w)
+    return w
+
+
 def _quantile_slow_var(u: np.ndarray) -> np.ndarray:
-    # solve (1 + w)e^{-w} = u for w >= 0, where w = log of the variate;
-    # bracket upper end derived from w - log(1+w) >= L at L + log1p(L) + 3
-    L = -np.log(u)
-    lo = np.zeros_like(L)
-    hi = L + np.log1p(L) + 3.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        too_low = np.log1p(mid) - mid + L > 0
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    return np.exp(0.5 * (lo + hi))
+    # x with (1 + log x)/x = u is e^w at L = -log u
+    return np.exp(_slow_var_log(-np.log(u)))
 
 
 def quantile_log_q(law: CoefficientLaw, u):
-    """Inverse of tail_Q: the x with tail_Q(x) = u, for u in (0, 1]."""
+    """Inverse of tail_Q: the x with tail_Q(x) = u, for u in (0, 1];
+    ParameterError if x overflows the float range."""
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0) | (u > 1)):
         raise ParameterError("tail probability must lie in (0, 1]")
-    if law.family == "CauchyTail":
-        out = law.c / u
-    elif law.family in ("RegVarTail", "HeavyNegM"):
-        if law.family == "RegVarTail" and law.alpha == 1.0:
-            out = _quantile_slow_var(u)
+    with np.errstate(over="ignore"):
+        if law.family == "CauchyTail":
+            out = law.c / u
+        elif law.family in ("RegVarTail", "HeavyNegM"):
+            if law.family == "RegVarTail" and law.alpha == 1.0:
+                out = _quantile_slow_var(u)
+            else:
+                out = u ** (-1.0 / law.alpha)
+        elif law.family in ("ConvergentControl", "ExpandingControl"):
+            out = 1.0 - np.log(u)
         else:
-            out = u ** (-1.0 / law.alpha)
-    elif law.family in ("ConvergentControl", "ExpandingControl"):
-        out = 1.0 - np.log(u)
-    else:
-        out = np.full(u.shape, law.x0)
+            out = np.full(u.shape, law.x0)
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(f"log|Q| of {law.family} overflows at u = {np.min(u):.3g}")
     return out if out.ndim else float(out)
 
 
@@ -263,7 +269,8 @@ def compute_A(law: CoefficientLaw, x):
 
 
 def compute_bn(law: CoefficientLaw, n: int) -> float:
-    """The scaling point b with n * P{log|Q| > b} = 1, by bisection."""
+    """The scaling point b with n * P{log|Q| > b} = 1, the log|Q| quantile
+    at 1/n; ParameterError if b overflows the float range."""
     if law.family not in ("RegVarTail", "HeavyNegM"):
         raise UnsupportedFamilyError(
             f"{law.family} has no regularly varying log|Q| tail"
@@ -271,18 +278,7 @@ def compute_bn(law: CoefficientLaw, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    if n == 1:
-        return law.x0
-    lo, hi = math.log(law.x0), math.log(law.x0) + 1.0
-    while float(n) * tail_Q(law, math.exp(hi)) > 1.0:
-        hi += 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(n) * tail_Q(law, math.exp(mid)) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
+    return quantile_log_q(law, 1.0 / n)
 
 
 def _log_q_density_logscale(law: CoefficientLaw, w):

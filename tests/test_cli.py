@@ -173,6 +173,15 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "--theorem", "thm11-backward",
                    "--law", "regvar", "--n", "100", "--R", "100")[0] == 1
 
+    def test_overflowing_law_is_a_clean_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "verify", "--theorem", "thm15-backward", "--law", "regvar",
+            "--alpha", "0.01", "--n", "2000", "--R", "200", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "overflows" in err
+        assert "Traceback" not in err
+
 
 class TestTheorem21Command:
     def test_single_atom_instance(self, capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Tests for coefficient-law construction, tails, A, b_n, and the classifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -12,6 +15,7 @@ from perpetuities.errors import (
     ParameterError,
     UnsupportedFamilyError,
 )
+from perpetuities import laws
 from perpetuities.laws import (
     CoefficientLaw,
     classify_regime,
@@ -37,6 +41,22 @@ RANDOM_FAMILIES = [
     CoefficientLaw("ConvergentControl", a=1.0),
     CoefficientLaw("ExpandingControl", a=1.0),
 ]
+
+SLOW_VAR = CoefficientLaw("RegVarTail", alpha=1.0)
+
+
+def _bisection_quantile(u):
+    # oracle: 80 halvings of a bracket on w = log x for (1 + w)e^{-w} = u;
+    # the upper end L + log1p(L) + 3 satisfies w - log1p(w) >= L
+    L = -np.log(u)
+    lo = np.zeros_like(L)
+    hi = L + np.log1p(L) + 3.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        too_low = np.log1p(mid) - mid + L > 0
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return np.exp(0.5 * (lo + hi))
 
 
 def survival_neg_log_m_reference(law, u):
@@ -108,12 +128,44 @@ class TestTailQ:
 
     def test_slow_var_quantile_near_branch_point(self):
         # (1 + w)e^{-w} = 1 - w^2/2 + O(w^3), so w = log of the returned
-        # value tends to sqrt(2(1 - u)) as u -> 1, where a closed form
-        # through the -1 branch of Lambert W sits next to its branch point
+        # value tends to sqrt(2(1 - u)) as u -> 1; the Newton solve starts
+        # from this series there, where Lambert W loses every digit
         for d in (1e-10, 1e-12):
             u = 1.0 - d
             w = math.log(float(quantile_log_q(CoefficientLaw("RegVarTail", alpha=1.0), u)))
             np.testing.assert_allclose(w, math.sqrt(2.0 * (1.0 - u)), rtol=1e-4)
+
+    def test_slow_var_quantile_matches_bisection(self):
+        us = np.concatenate((
+            [1.0, 1.0 - 2.0 ** -53, 2.0 ** -53],
+            np.logspace(-16, 0, 400),
+            1.0 - np.logspace(-15, -1, 200),
+        ))
+        x = quantile_log_q(SLOW_VAR, us)
+        np.testing.assert_allclose(x, _bisection_quantile(us), rtol=1e-13)
+        assert x[0] == 1.0
+
+    def test_slow_var_fifth_newton_step_is_idle(self):
+        # four steps already sit on the float root: one more moves w by at
+        # most 2 ulp of max(w, 1), and so the returned e^w by at most that
+        # much relative
+        L = np.concatenate(([0.0], np.logspace(-17, math.log10(745.0), 2000)))
+        w = laws._slow_var_log(L)
+        w5 = w - (w - np.log1p(w) - L) * (1.0 + w) / np.where(w == 0.0, 1.0, w)
+        assert np.all(np.abs(w5 - w) <= 2 * np.spacing(np.maximum(w, 1.0)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(law=st.sampled_from(RANDOM_FAMILIES), u=st.floats(2.0 ** -53, 1.0))
+    def test_tail_inverts_quantile(self, law, u):
+        assert tail_Q(law, quantile_log_q(law, u)) == pytest.approx(u, rel=1e-12)
+
+    def test_quantile_overflow_is_a_parameter_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflows"):
+                quantile_log_q(preset_law("regvar", alpha=0.01), 1e-5)
+            with pytest.raises(ParameterError, match="overflows"):
+                quantile_log_q(SLOW_VAR, 1e-310)
 
     def test_quantile_rejects_bad_probability(self):
         with pytest.raises(ParameterError):
@@ -253,6 +305,10 @@ class TestComputeBn:
             compute_bn(preset_law("cauchy"), 10)
         with pytest.raises(ParameterError):
             compute_bn(CoefficientLaw("RegVarTail", alpha=0.5), 0)
+
+    def test_overflowing_scale_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            compute_bn(preset_law("regvar", alpha=0.01), 2000)
 
 
 class TestStabilityIntegral:

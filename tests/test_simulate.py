@@ -267,6 +267,12 @@ class TestBatchSamplers:
         w, _ = backward_marginal_values(law, 30, 1.0, 5, seed=53, rep_start=5)
         np.testing.assert_array_equal(v[5:], w)
 
+    def test_overflowing_log_q_is_a_parameter_error(self):
+        # alpha = 0.01 puts log|Q| = u^-100 past the float range below
+        # u = 8.3e-4, which a few thousand draws reach
+        with pytest.raises(ParameterError, match="overflows"):
+            backward_marginal_values(preset_law("regvar", alpha=0.01), 2000, 1.0, 200, seed=3)
+
     def test_no_degenerate_samples_for_continuous_law(self):
         # condition: continuous Q laws never hit flagged cancellation
         law = preset_law("cauchy")
