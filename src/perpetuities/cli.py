@@ -4,8 +4,8 @@ Every emitted file embeds the resolved run configuration, and outputs
 are byte-identical across reruns with the same configuration and seed,
 independent of the job count.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 for a failing
-or degenerate verification.
+Exit codes: 0 success, 1 configuration or usage error or any other
+unexpected exception, 2 for a failing or degenerate verification.
 """
 
 from __future__ import annotations
@@ -45,11 +45,13 @@ from .limits import (
 )
 from .simulate import (
     SimScenario,
+    shared_batches,
     simulate_forward_chain_path,
     simulate_perpetuity_path,
     write_paths_csv,
 )
 from .verify import (
+    DEFAULT_D_BOUND,
     MARGINAL_TAGS,
     canonical_tag,
     compatible_tags,
@@ -381,7 +383,7 @@ def _run_verification(cfg: RunConfig, law, tag, variant):
         return verify_functional_sup(
             variant, law, cfg.n, cfg.T, cfg.R, threshold=cfg.threshold, **common
         )
-    threshold = 0.05 if cfg.threshold is None else cfg.threshold
+    threshold = DEFAULT_D_BOUND if cfg.threshold is None else cfg.threshold
     return verify_marginal(tag, law, cfg.n, cfg.u, cfg.R, threshold=threshold, **common)
 
 
@@ -409,7 +411,10 @@ def _cmd_verify(args) -> int:
         tags = list(compatible_tags(law)) + ["ForwardBackwardEquality"]
         if variant in MARGINAL_TAGS and variant not in ("Pakes114", "Pakes119"):
             tags.append("FunctionalSup")
-    reports = [_run_verification(cfg, law, t, variant) for t in tags]
+    # the suite reads some batches twice (Thm11-forward and the equality
+    # check, Thm11-backward and its sup), so they share one computation
+    with shared_batches():
+        reports = [_run_verification(cfg, law, t, variant) for t in tags]
 
     with _out_file(cfg, "verify_reports.json") as fh:
         write_reports_json(reports, fh, config=cfg.resolved())
@@ -495,6 +500,9 @@ def main(argv=None) -> int:
     except StatisticalError as exc:
         print(f"statistical failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

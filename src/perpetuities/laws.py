@@ -235,24 +235,9 @@ def _h(t):
     return t * ndtr(t) + _phi(t)
 
 
-def neg_log_m_survival(law: CoefficientLaw, u):
-    """P{log^-|M| > u} for u >= 0."""
-    u = np.asarray(u, dtype=float)
-    if law.family == "HeavyNegM":
-        out = np.minimum(1.0, np.maximum(u, 1e-300) ** (-law.beta))
-        out = np.where(u < 1.0, 1.0, out)
-    elif law.family == "Degenerate":
-        level = max(-math.log(abs(law.m0)), 0.0)
-        out = np.where(u < level, 1.0, 0.0)
-    else:
-        mu = law.a if law.family == "ExpandingControl" else -law.a
-        out = ndtr(-mu - u)
-    return out if out.ndim else float(out)
-
-
 def compute_A(law: CoefficientLaw, x):
     """A(x) = E min(log^-|M|, x), the truncated mean of the contraction
-    part; equals the integral of neg_log_m_survival over [0, x]."""
+    part; equals the integral of P{log^-|M| > u} over [0, x]."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ParameterError("truncation point must be positive")

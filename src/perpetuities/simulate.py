@@ -21,12 +21,25 @@ in the batch samplers.
 Replication r of a run with master seed s draws from the dedicated stream
 ``default_rng([s, r])``, which makes every batch independent of chunking
 and worker count.
+
+The four chain samplers (backward and forward, marginal and sup) read one
+batch table: per replication, the last log-magnitude, its maximum, the
+endpoint flag (a cancelled last combine, plus one if the last iterate is
+exactly zero) and the prefix flag (all cancelled combines, plus one if any
+iterate is exactly zero).  Each sampler returns fresh copies of the value
+and the flag it reads.  Inside a ``shared_batches()`` scope, equal requests
+(same law, iterate count, replications, seed, first replication, start
+and direction) reuse the table computed first, so a verification suite
+that reads one batch both as a marginal and as a sup simulates it once.
+Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +49,7 @@ from .laws import CoefficientLaw, draw_log_mq
 from .paths import StepPath
 # signed_log_add_arrays is unused here but stays importable from this
 # module: bench/tracing.py wraps perpetuities.simulate.signed_log_add_arrays
-from .slog import signed_log_add_arrays, signed_log_diff  # noqa: F401
+from .slog import _pool_logsumexp, signed_log_add_arrays, signed_log_diff  # noqa: F401
 
 __all__ = [
     "SimScenario",
@@ -150,9 +163,7 @@ def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: in
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
     _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), int(n) + 1)
-    terms = -a * np.arange(n + 1) + log_q
-    m = float(np.max(terms))
-    return m + math.log(float(np.sum(np.exp(terms - m))))
+    return _pool_logsumexp(-a * np.arange(n + 1) + log_q)
 
 
 def scale_path(p: StepPath, divisor: float) -> StepPath:
@@ -166,6 +177,20 @@ def scale_path(p: StepPath, divisor: float) -> StepPath:
 # batch value samplers: one scalar per replication, r -> stream [seed, r].
 # jobs > 1 splits the replication range across threads; the per-replication
 # streams make the result identical for every split.
+
+# the memo of the innermost open shared_batches() scope, None outside one
+_SHARED = contextvars.ContextVar("shared_batches", default=None)
+
+
+@contextmanager
+def shared_batches():
+    """Within this scope, equal batch requests share one batch table."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
 
 def _index_at(n: int, u: float) -> int:
     if not (u > 0 and np.isfinite(u)):
@@ -184,50 +209,49 @@ def _run_jobs(worker, reps, jobs):
         return list(pool.map(lambda ab: worker(*ab), ranges))
 
 
-def _batch(law, count, extract, reps, seed, rep_start, jobs, x0=0.0, forward=False):
-    values = np.empty(reps)
-    flags = np.zeros(reps, dtype=np.int64)
+def _batch(law, count, reps, seed, rep_start, jobs, x0=0.0, forward=False):
+    """The batch table (last, sup, endpoint flag, prefix flag) of ``reps``
+    chains of ``count`` iterates, one entry per replication.
+
+    Inside ``shared_batches()`` an equal request returns the arrays
+    computed first, so the samplers hand out copies.
+    """
+    memo = _SHARED.get()
+    key = (law, int(count), int(reps), int(seed), int(rep_start), float(x0), bool(forward))
+    if memo is not None and key in memo:
+        return memo[key]
+    last, sup = np.empty(reps), np.empty(reps)
+    end, prefix = np.zeros(reps, dtype=np.int64), np.zeros(reps, dtype=np.int64)
 
     def worker(lo, hi):
         for r in range(lo, hi):
             sign, mag, cancelled = _chain_mags(
                 law, replication_rng(seed, rep_start + r), count, x0, forward
             )
-            values[r], flags[r] = extract(sign, mag, cancelled)
+            last[r], sup[r] = mag[-1], mag.max()
+            end[r] = int(cancelled[-1]) + int(sign[-1] == 0)
+            any_zero = np.count_nonzero(sign) < sign.size
+            prefix[r] = np.count_nonzero(cancelled) + int(any_zero)
         return None
 
     _run_jobs(worker, reps, jobs)
-    return values, flags
-
-
-def _prefix_flag(sign, cancelled):
-    """Cancelled combines plus one if any iterate is exactly zero."""
-    return int(np.sum(cancelled)) + int(np.any(sign == 0))
-
-
-def _sup(sign, mag, cancelled):
-    return np.max(mag), _prefix_flag(sign, cancelled)
-
-
-def _last(sign, mag, cancelled):
-    return mag[-1], _prefix_flag(sign, cancelled)
+    table = last, sup, end, prefix
+    if memo is not None:
+        memo[key] = table
+    return table
 
 
 def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
     """log|Y_{[nu]+1}| per replication; flags count poisoned samples."""
-    idx = _index_at(n, u)
-
-    def extract(sign, mag, cancelled):
-        bad = int(cancelled[idx - 1]) + int(sign[idx - 1] == 0)
-        return mag[idx - 1], bad
-
-    return _batch(law, idx, extract, reps, seed, rep_start, jobs)
+    last, _, end, _ = _batch(law, _index_at(n, u), reps, seed, rep_start, jobs)
+    return last.copy(), end.copy()
 
 
 def backward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
     """sup over [0, T] of log|Y_{[nt]+1}| per replication."""
     count = int(math.floor(n * T)) + 1
-    return _batch(law, count, _sup, reps, seed, rep_start, jobs)
+    _, sup, _, prefix = _batch(law, count, reps, seed, rep_start, jobs)
+    return sup.copy(), prefix.copy()
 
 
 def forward_marginal_values(law, n, u, reps, seed, x0=0.0, rep_start=0, jobs=1):
@@ -238,13 +262,15 @@ def forward_marginal_values(law, n, u, reps, seed, x0=0.0, rep_start=0, jobs=1):
     adds one if any iterate up to it is exactly zero.
     """
     idx = _index_at(n, u)
-    return _batch(law, idx, _last, reps, seed, rep_start, jobs, x0, forward=True)
+    last, _, _, prefix = _batch(law, idx, reps, seed, rep_start, jobs, x0, forward=True)
+    return last.copy(), prefix.copy()
 
 
 def forward_sup_values(law, n, T, reps, seed, x0=0.0, rep_start=0, jobs=1):
     """sup over [0, T] of log|X_{[nt]+1}| per replication."""
     count = int(math.floor(n * T)) + 1
-    return _batch(law, count, _sup, reps, seed, rep_start, jobs, x0, forward=True)
+    _, sup, _, prefix = _batch(law, count, reps, seed, rep_start, jobs, x0, forward=True)
+    return sup.copy(), prefix.copy()
 
 
 def pakes_values(a, law, n, reps, seed, rep_start=0, jobs=1):

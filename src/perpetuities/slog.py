@@ -87,26 +87,16 @@ def slog_mul(x: SignedLogValue, y: SignedLogValue) -> SignedLogValue:
     return SignedLogValue(sign, x.logmag + y.logmag)
 
 
-def _combine_scalar(sign_a: int, mag_a: float, sign_b: int, mag_b: float):
-    """Signed add of two (sign, logmag) pairs; returns (sign, logmag, cancelled)."""
-    if sign_a == 0:
-        return sign_b, mag_b, False
-    if sign_b == 0:
-        return sign_a, mag_a, False
-    if sign_a == sign_b:
-        return sign_a, float(np.logaddexp(mag_a, mag_b)), False
-    # opposite signs: the larger magnitude wins
-    if mag_a == mag_b:
-        return 0, _NEG_INF, True
-    big, small = (mag_a, mag_b) if mag_a > mag_b else (mag_b, mag_a)
-    sign = sign_a if mag_a > mag_b else sign_b
-    mag = big + math.log1p(-math.exp(small - big))
-    return sign, mag, (mag - big) < _LOG_CANCEL
+def _scalar(sign, mag, cancelled) -> SignedLogValue:
+    """The single entry of a length-1 kernel result."""
+    return SignedLogValue(int(sign[0]), float(mag[0]), bool(cancelled[0]))
 
 
 def slog_add(x: SignedLogValue, y: SignedLogValue) -> SignedLogValue:
-    sign, mag, flag = _combine_scalar(x.sign, x.logmag, y.sign, y.logmag)
-    return SignedLogValue(sign, mag, flag)
+    return _scalar(*signed_log_add_arrays(
+        np.array([x.sign]), np.array([x.logmag]),
+        np.array([y.sign]), np.array([y.logmag]),
+    ))
 
 
 def _pool_logsumexp(mags: np.ndarray) -> float:
@@ -117,6 +107,7 @@ def _pool_logsumexp(mags: np.ndarray) -> float:
     if m == _NEG_INF:
         return _NEG_INF
     return m + math.log(float(np.sum(np.exp(mags - m))))
+
 
 def slog_sum(terms: Iterable[SignedLogValue]) -> SignedLogValue:
     """Sum of signed log-space terms.
@@ -134,9 +125,7 @@ def slog_sum(terms: Iterable[SignedLogValue]) -> SignedLogValue:
             neg.append(t.logmag)
     p = _pool_logsumexp(np.asarray(pos, dtype=float))
     n = _pool_logsumexp(np.asarray(neg, dtype=float))
-    sign, mag, flag = _combine_scalar(1 if pos else 0, p if pos else _NEG_INF,
-                                      -1 if neg else 0, n if neg else _NEG_INF)
-    return SignedLogValue(sign, mag, flag)
+    return _scalar(*signed_log_diff(np.array([p]), np.array([n])))
 
 
 # ---------------------------------------------------------------------------

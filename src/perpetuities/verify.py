@@ -60,7 +60,10 @@ _SUM_TAGS = ("Pakes114", "Pakes119")
 # induced CDF error is about (gamma/u)^(c/a), far below KS noise here
 DEFAULT_LIMIT_GAMMA = 0.005
 
-DEFAULT_MARGINAL_THRESHOLD = 0.05
+# significance level of the asymptotic one-sample critical value
+DEFAULT_KS_LEVEL = 0.05
+# absolute bound on the one-sample KS distance D in verify_marginal
+DEFAULT_D_BOUND = 0.05
 DEFAULT_TWO_SAMPLE_LEVEL = 0.01
 
 
@@ -113,7 +116,7 @@ def two_sample_ks(first, second) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def ks_threshold(reps: int, level: float = DEFAULT_MARGINAL_THRESHOLD) -> float:
+def ks_threshold(reps: int, level: float = DEFAULT_KS_LEVEL) -> float:
     """Asymptotic one-sample critical value at the given level."""
     reps = int(reps)
     if reps <= 0:
@@ -292,7 +295,7 @@ def verify_marginal(
     u: float,
     R: int,
     seed: int,
-    threshold: float = DEFAULT_MARGINAL_THRESHOLD,
+    threshold: float = DEFAULT_D_BOUND,
     source: str = "simulation",
     gamma: float = DEFAULT_LIMIT_GAMMA,
     jobs: int = 1,

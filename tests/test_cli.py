@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import perpetuities.cli as cli
+import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
+from perpetuities.laws import draw_log_mq, preset_law
+from perpetuities.verify import (
+    DEFAULT_D_BOUND,
+    verify_forward_backward_equality,
+    verify_functional_sup,
+    verify_marginal,
+)
 
 
 def run(capsys, *argv):
@@ -181,6 +190,62 @@ class TestVerifyCommand:
         assert code == 1
         assert err.startswith("error:") and "overflows" in err
         assert "Traceback" not in err
+
+
+class TestVerifySuiteSharing:
+    ARGV = ("verify", "--law", "cauchy", "--n", "200", "--R", "100",
+            "--seed", "5", "--jobs", "2")
+
+    def test_suite_draws_each_batch_once(self, capsys, tmp_path, monkeypatch):
+        # Thm11-backward, Thm11-forward, Pakes114 and the backward side of
+        # the equality check are distinct; the equality check's forward
+        # side and FunctionalSup reuse batches, so 4R draws, not 6R
+        calls = []
+
+        def counted(law, rng, size):
+            calls.append(size)
+            return draw_log_mq(law, rng, size)
+
+        monkeypatch.setattr(simulate_module, "draw_log_mq", counted)
+        for out in ("a", "b"):
+            run(capsys, *self.ARGV, "--out", str(tmp_path / out))
+            assert len(calls) == 400  # nothing survives the previous call
+            calls.clear()
+        for name in ("verify_reports.json", "verify_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_suite_matches_separate_checks(self, capsys, tmp_path):
+        run(capsys, *self.ARGV, "--out", str(tmp_path))
+        doc = json.loads((tmp_path / "verify_reports.json").read_text())
+        law = preset_law("cauchy")
+        common = dict(seed=5, jobs=1)
+        alone = [
+            verify_marginal(tag, law, 200, 1.0, 100, threshold=DEFAULT_D_BOUND, **common)
+            for tag in ("Thm11-backward", "Thm11-forward", "Pakes114")
+        ] + [
+            verify_forward_backward_equality(law, 200, 1.0, 100, **common),
+            verify_functional_sup("Thm11-backward", law, 200, 1.0, 100, **common),
+        ]
+        assert doc["reports"] == [r.to_dict() for r in alone]
+
+
+class TestUnexpectedErrors:
+    def test_catch_all_exit_code(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        code, _, err = run(capsys, "classify", "--law", "cauchy")
+        assert code == 1
+        assert err == "error: unexpected RuntimeError: boom\n"
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["classify", "--law", "cauchy"])
 
 
 class TestTheorem21Command:

@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 
 from perpetuities.errors import ParameterError, StatisticalError
 from perpetuities.laws import CoefficientLaw, draw_log_mq, preset_law
+import perpetuities.simulate as simulate_module
 from perpetuities.simulate import (
     SimScenario,
     backward_marginal_values,
@@ -19,6 +20,7 @@ from perpetuities.simulate import (
     pakes_values,
     replication_rng,
     scale_path,
+    shared_batches,
     simulate_forward_chain_path,
     simulate_pakes_sum,
     simulate_perpetuity_path,
@@ -278,6 +280,77 @@ class TestBatchSamplers:
         law = preset_law("cauchy")
         _, flags = backward_marginal_values(law, 100, 1.0, 2000, seed=59)
         assert int(np.sum(flags > 0)) == 0
+
+
+class TestSharedBatches:
+    LAW = preset_law("cauchy")
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        # counts the chains simulated, one coefficient draw per replication
+        calls = []
+
+        def counted(law, rng, size):
+            calls.append(size)
+            return draw_log_mq(law, rng, size)
+
+        monkeypatch.setattr(simulate_module, "draw_log_mq", counted)
+        return calls
+
+    def test_no_reuse_outside_the_scope(self, draws):
+        a = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+        b = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+        assert len(draws) == 12
+        np.testing.assert_array_equal(a[0], b[0])
+
+    def test_equal_requests_share_one_batch(self, draws):
+        # the marginal at u = 1 and the sup over [0, 1] read the same
+        # chains; jobs does not enter the key
+        with shared_batches():
+            v1, f1 = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+            s1, g1 = backward_sup_values(self.LAW, 40, 1.0, 6, seed=61, jobs=2)
+            w1, h1 = forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+            t1, k1 = forward_sup_values(self.LAW, 40, 1.0, 6, seed=61, jobs=3)
+        assert len(draws) == 12
+        for got, want in [
+            ((v1, f1), backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)),
+            ((s1, g1), backward_sup_values(self.LAW, 40, 1.0, 6, seed=61)),
+            ((w1, h1), forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)),
+            ((t1, k1), forward_sup_values(self.LAW, 40, 1.0, 6, seed=61)),
+        ]:
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        assert len(draws) == 36  # the scope is closed, so each call computes
+
+    def test_different_requests_do_not_share(self, draws):
+        with shared_batches():
+            backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+            backward_marginal_values(self.LAW, 40, 0.5, 6, seed=61)
+            backward_marginal_values(self.LAW, 40, 1.0, 6, seed=62)
+            backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61, rep_start=6)
+            forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+            forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61, x0=2.0)
+        assert len(draws) == 36
+
+    def test_returned_arrays_are_fresh(self):
+        with shared_batches():
+            v, f = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+            want = v.copy(), f.copy()
+            v[:] = np.nan
+            f[:] = 7
+            again = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
+        np.testing.assert_array_equal(again[0], want[0])
+        np.testing.assert_array_equal(again[1], want[1])
+
+    def test_flags_keep_their_semantics_in_the_scope(self):
+        # one flip-flop batch read as a backward marginal (endpoint flag)
+        # and as a backward sup (prefix flag)
+        law = TestForwardFlags.FLIP
+        with shared_batches():
+            _, end = backward_marginal_values(law, 49, 1.0, 3, seed=3)
+            _, prefix = backward_sup_values(law, 49, 1.0, 3, seed=3)
+        np.testing.assert_array_equal(end, 2)
+        np.testing.assert_array_equal(prefix, 26)
 
 
 class TestPathAsymptotics:
