@@ -17,10 +17,10 @@ import json
 import math
 import os
 import sys
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigurationError, ParameterError, StatisticalError
 from .functionals import (
     bundled_instance,
@@ -52,7 +52,7 @@ from .simulate import (
 )
 from .verify import (
     DEFAULT_D_BOUND,
-    MARGINAL_TAGS,
+    TAG_RULES,
     canonical_tag,
     compatible_tags,
     verify_forward_backward_equality,
@@ -63,26 +63,6 @@ from .verify import (
 )
 
 _LAW_OVERRIDE_KEYS = ("a", "c", "alpha", "beta", "m0", "q0")
-
-# tags that pick a simulated chain via a theorem variant
-_THEOREM_DEFAULT_PRESET = {
-    "Thm11-backward": "cauchy",
-    "Thm11-forward": "cauchy",
-    "Pakes114": "cauchy",
-    "Thm15-backward": "regvar",
-    "Thm15-forward": "regvar",
-    "Pakes119": "regvar",
-    "ForwardBackwardEquality": "cauchy",
-    "FunctionalSup": "cauchy",
-}
-
-
-def _tool_version() -> str:
-    try:
-        return metadata.version("perpetuities")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -110,7 +90,7 @@ class RunConfig:
         """
         d = {
             "command": self.command,
-            "version": _tool_version(),
+            "version": __version__,
             "law": self.law,
             "n": self.n,
             "T": self.T,
@@ -389,7 +369,7 @@ def _run_verification(cfg: RunConfig, law, tag, variant):
 
 def _cmd_verify(args) -> int:
     tag = None if args.theorem is None else canonical_tag(args.theorem)
-    preset = _THEOREM_DEFAULT_PRESET[tag] if tag is not None else "cauchy"
+    preset = TAG_RULES[tag].preset if tag in TAG_RULES else "cauchy"
     law = _resolve_law(args, preset)
     variant = None
     if tag == "FunctionalSup" or tag is None:
@@ -406,10 +386,12 @@ def _cmd_verify(args) -> int:
     if tag is not None:
         tags = [tag]
     else:
-        # full suite for this family: all compatible marginals plus the
+        # full suite for this family: all compatible marginals (the
+        # chainless sums have no time parameter, so only at u = 1) plus the
         # law-agnostic equality check and one functional-sup variant
-        tags = list(compatible_tags(law)) + ["ForwardBackwardEquality"]
-        if variant in MARGINAL_TAGS and variant not in ("Pakes114", "Pakes119"):
+        tags = [t for t in compatible_tags(law) if TAG_RULES[t].chain or cfg.u == 1.0]
+        tags.append("ForwardBackwardEquality")
+        if variant in TAG_RULES and TAG_RULES[variant].chain:
             tags.append("FunctionalSup")
     # the suite reads some batches twice (Thm11-forward and the equality
     # check, Thm11-backward and its sup), so they share one computation

@@ -17,6 +17,7 @@ from .errors import ConfigurationError, ParameterError
 from .paths import (
     PointMeasure,
     StepPath,
+    _collapse_running,
     j1_distance,
     point_match_distance,
     restrict_path,
@@ -73,24 +74,10 @@ def _check_atoms_inside(f: StepPath, times) -> None:
         raise ParameterError("atoms must lie inside the path horizon")
 
 
-def _collapse_running(horizon, times, running, init, meta) -> StepPath:
-    # one breakpoint per distinct atom time; atoms at zero fold into init
-    keep = np.ones(times.size, dtype=bool)
-    keep[:-1] = times[1:] != times[:-1]
-    jump_t = times[keep]
-    jump_v = running[keep]
-    if jump_t.size and jump_t[0] == 0.0:
-        init = jump_v[0]
-        jump_t, jump_v = jump_t[1:], jump_v[1:]
-    return StepPath(horizon, jump_t, np.concatenate([[init], jump_v]), meta=meta)
-
-
 def g_functional(f: StepPath, nu: PointMeasure) -> StepPath:
     """Running max of ``f(tau_k) + y_k``; ``f(0)`` before the first atom."""
     _check_atoms_inside(f, nu.times)
     meta = {"kind": "running-max", "atoms": nu.count}
-    if nu.count == 0:
-        return StepPath(f.horizon, np.empty(0), f.values[:1].copy(), meta=meta)
     scores = f.values_at(nu.times) + nu.marks
     running = np.maximum.accumulate(scores)
     return _collapse_running(f.horizon, nu.times, running, float(f.values[0]), meta)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .paths import PointMeasure, StepPath
+from .paths import PointMeasure, StepPath, _collapse_running
 from .simulate import _run_jobs, replication_rng
 
 DEFAULT_GRID_CELLS = 10_000
@@ -131,21 +131,7 @@ def extremal_path(
 
     if grid_step is not None:
         raise ParameterError("grid step applies to the FORWARD kind only")
-    if pm.count == 0:
-        return StepPath(T, np.empty(0), np.zeros(1), meta=meta)
-    running = np.maximum.accumulate(scores)
-    # collapse duplicated atom times; the last entry carries the sup
-    keep = np.ones(pm.count, dtype=bool)
-    keep[:-1] = pm.times[1:] != pm.times[:-1]
-    jump_t = pm.times[keep]
-    jump_v = running[keep]
-    if jump_t[0] == 0.0:
-        # an atom sitting at time zero is visible from the start
-        init = jump_v[0]
-        jump_t, jump_v = jump_t[1:], jump_v[1:]
-    else:
-        init = 0.0
-    return StepPath(T, jump_t, np.concatenate([[init], jump_v]), meta=meta)
+    return _collapse_running(T, pm.times, np.maximum.accumulate(scores), 0.0, meta)
 
 
 def _marginal_value(kind: LimitKind, times, marks, u: float) -> float:

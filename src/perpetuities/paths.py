@@ -29,7 +29,6 @@ from .errors import ParameterError
 __all__ = [
     "StepPath",
     "PointMeasure",
-    "eval_path",
     "uniform_distance",
     "j1_distance",
     "point_match_distance",
@@ -125,11 +124,6 @@ class PointMeasure:
         """Atoms with mark strictly above ``delta``."""
         keep = self.marks > delta
         return PointMeasure(self.horizon, self.times[keep], self.marks[keep])
-
-
-def eval_path(p: StepPath, t: float) -> float:
-    """Right-continuous value of ``p`` at ``t``."""
-    return p.value_at(t)
 
 
 def _check_same_horizon(f: StepPath, g: StepPath):
@@ -251,6 +245,19 @@ def restrict_path(p: StepPath, horizon: float) -> StepPath:
     return StepPath(T, p.times[keep], p.values[: int(np.sum(keep)) + 1], meta=dict(p.meta))
 
 
+def _collapse_running(horizon, times, running, init, meta) -> StepPath:
+    # step path of a running record over time-sorted atoms: one
+    # breakpoint per distinct atom time, atoms at zero fold into init
+    keep = np.ones(times.size, dtype=bool)
+    keep[:-1] = times[1:] != times[:-1]
+    jump_t = times[keep]
+    jump_v = running[keep]
+    if jump_t.size and jump_t[0] == 0.0:
+        init = jump_v[0]
+        jump_t, jump_v = jump_t[1:], jump_v[1:]
+    return StepPath(horizon, jump_t, np.concatenate([[init], jump_v]), meta=meta)
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trips.  The horizon travels in a comment header so a file is
 # self-describing; floats are written with repr for exact round-trips.
@@ -267,29 +274,31 @@ def write_step_path_csv(path: StepPath, fp: io.TextIOBase):
         fp.write(f"{_fmt(t)},{_fmt(v)}\n")
 
 
-def read_step_path_csv(fp: io.TextIOBase) -> StepPath:
+def _read_csv(fp: io.TextIOBase):
+    # horizon from the "# horizon=" header, data rows as an (n, 2) array
     horizon = None
     rows = []
     for line in fp:
         line = line.strip()
-        if not line:
+        if not line or line.startswith("t,"):
             continue
         if line.startswith("#"):
             key, _, val = line.lstrip("# ").partition("=")
             if key.strip() == "horizon":
                 horizon = float(val)
             continue
-        if line.startswith("t,"):
-            continue
         t_s, v_s = line.split(",")
         rows.append((float(t_s), float(v_s)))
     if horizon is None:
         raise ParameterError("missing horizon header")
-    if not rows or rows[0][0] != 0.0:
+    return horizon, np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def read_step_path_csv(fp: io.TextIOBase) -> StepPath:
+    horizon, rows = _read_csv(fp)
+    if not rows.size or rows[0, 0] != 0.0:
         raise ParameterError("first row must give the value at t=0")
-    times = np.array([t for t, _ in rows[1:]])
-    values = np.array([v for _, v in rows])
-    return StepPath(horizon, times, values)
+    return StepPath(horizon, rows[1:, 0], rows[:, 1])
 
 
 def write_point_measure_csv(nu: PointMeasure, fp: io.TextIOBase):
@@ -300,22 +309,5 @@ def write_point_measure_csv(nu: PointMeasure, fp: io.TextIOBase):
 
 
 def read_point_measure_csv(fp: io.TextIOBase) -> PointMeasure:
-    horizon = None
-    ts, ys = [], []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key.strip() == "horizon":
-                horizon = float(val)
-            continue
-        if line.startswith("t,"):
-            continue
-        t_s, y_s = line.split(",")
-        ts.append(float(t_s))
-        ys.append(float(y_s))
-    if horizon is None:
-        raise ParameterError("missing horizon header")
-    return PointMeasure(horizon, np.array(ts), np.array(ys))
+    horizon, rows = _read_csv(fp)
+    return PointMeasure(horizon, rows[:, 0], rows[:, 1])

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 from scipy.special import kolmogi
@@ -34,27 +35,76 @@ from .simulate import (
     pakes_values,
 )
 
-MARGINAL_TAGS = (
-    "Thm11-backward",
-    "Thm11-forward",
-    "Thm15-backward",
-    "Thm15-forward",
-    "Pakes114",
-    "Pakes119",
-)
+
+@dataclasses.dataclass(frozen=True)
+class TagRule:
+    """How one marginal tag is checked.
+
+    ``families`` are the laws whose scaled marginals the tag's limit
+    describes, and ``preset`` is the law the CLI uses when none is given.
+    ``chain`` names the simulated chain, or is None for the Pakes decayed
+    sums, which have no time parameter and no path-functional form. The
+    regime follows from ``kind``: BACKWARD and FORWARD limits are the
+    drift regime (scale ``a n``, mark tail ``(c/a) x^-1``, drift CDF),
+    PEAK is the peak regime (scale ``b_n``, mark tail ``x^-alpha``, peak
+    CDF).
+    """
+
+    tag: str
+    families: tuple
+    kind: LimitKind
+    chain: str | None
+    preset: str
+
+    @property
+    def drift(self) -> bool:
+        return self.kind is not LimitKind.PEAK
+
+    def check_family(self, law: CoefficientLaw) -> None:
+        if law.family not in self.families:
+            raise ConfigurationError(
+                f"{self.tag} applies to families {self.families}, got {law.family}"
+            )
+
+    def scale(self, law: CoefficientLaw, n: int) -> float:
+        return law.a * n if self.drift else compute_bn(law, n)
+
+    def limit_spec(self, law: CoefficientLaw, T: float, gamma: float, seed) -> PrmSpec:
+        if self.drift:
+            return PrmSpec(c=law.c / law.a, alpha=1.0, T=T, gamma=gamma, seed=seed)
+        return PrmSpec(c=1.0, alpha=law.alpha, T=T, gamma=gamma, seed=seed)
+
+    def limit_cdf(self, law: CoefficientLaw, u: float):
+        # finite-n samples can land below the limit support, where the
+        # distribution function is zero; the core evaluators stay strict
+        def extended(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape)
+            mask = x >= 0.0 if self.drift else x > 0.0
+            if np.any(mask):
+                out[mask] = (
+                    drift_marginal_cdf(x[mask], u, law.c, law.a)
+                    if self.drift
+                    else peak_marginal_cdf(x[mask], u, law.alpha)
+                )
+            return out
+
+        return extended
+
+
+TAG_RULES = types.MappingProxyType({
+    r.tag: r
+    for r in (
+        TagRule("Thm11-backward", ("CauchyTail",), LimitKind.BACKWARD, "backward", "cauchy"),
+        TagRule("Thm11-forward", ("CauchyTail",), LimitKind.FORWARD, "forward", "cauchy"),
+        TagRule("Thm15-backward", ("RegVarTail", "HeavyNegM"), LimitKind.PEAK, "backward", "regvar"),
+        TagRule("Thm15-forward", ("RegVarTail", "HeavyNegM"), LimitKind.PEAK, "forward", "regvar"),
+        TagRule("Pakes114", ("CauchyTail",), LimitKind.BACKWARD, None, "cauchy"),
+        TagRule("Pakes119", ("RegVarTail",), LimitKind.PEAK, None, "regvar"),
+    )
+})
+MARGINAL_TAGS = tuple(TAG_RULES)
 REPORT_TAGS = MARGINAL_TAGS + ("ForwardBackwardEquality", "FunctionalSup")
-
-# families whose scaled marginals the tag's limit law describes
-_TAG_FAMILIES = {
-    "Thm11-backward": ("CauchyTail",),
-    "Thm11-forward": ("CauchyTail",),
-    "Pakes114": ("CauchyTail",),
-    "Thm15-backward": ("RegVarTail", "HeavyNegM"),
-    "Thm15-forward": ("RegVarTail", "HeavyNegM"),
-    "Pakes119": ("RegVarTail",),
-}
-
-_SUM_TAGS = ("Pakes114", "Pakes119")
 
 # mark level below which the sampled limit measure is truncated; the
 # induced CDF error is about (gamma/u)^(c/a), far below KS noise here
@@ -215,57 +265,6 @@ def write_reports_csv(reports, fp, config: dict | None = None) -> None:
         writer.writerow([d[c] for c in cols])
 
 
-def _check_tag_family(tag: str, law: CoefficientLaw) -> None:
-    allowed = _TAG_FAMILIES[tag]
-    if law.family not in allowed:
-        raise ConfigurationError(
-            f"{tag} applies to families {allowed}, got {law.family}"
-        )
-
-
-def _marginal_scale(tag: str, law: CoefficientLaw, n: int) -> float:
-    if tag in ("Thm11-backward", "Thm11-forward", "Pakes114"):
-        return law.a * n
-    return compute_bn(law, n)
-
-
-def _limit_kind(tag: str) -> LimitKind:
-    if tag in ("Thm11-backward", "Pakes114"):
-        return LimitKind.BACKWARD
-    if tag == "Thm11-forward":
-        return LimitKind.FORWARD
-    return LimitKind.PEAK
-
-
-def _limit_spec(tag: str, law: CoefficientLaw, T: float, gamma: float, seed) -> PrmSpec:
-    if tag in ("Thm11-backward", "Thm11-forward", "Pakes114"):
-        return PrmSpec(c=law.c / law.a, alpha=1.0, T=T, gamma=gamma, seed=seed)
-    return PrmSpec(c=1.0, alpha=law.alpha, T=T, gamma=gamma, seed=seed)
-
-
-def _limit_cdf(tag: str, law: CoefficientLaw, u: float):
-    # finite-n samples can land below the limit support, where the
-    # distribution function is zero; the core evaluators stay strict
-    if tag in ("Thm11-backward", "Thm11-forward", "Pakes114"):
-        core, inside = (lambda x: drift_marginal_cdf(x, u, law.c, law.a)), (
-            lambda x: x >= 0.0
-        )
-    else:
-        core, inside = (lambda x: peak_marginal_cdf(x, u, law.alpha)), (
-            lambda x: x > 0.0
-        )
-
-    def extended(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        mask = inside(x)
-        if np.any(mask):
-            out[mask] = core(x[mask])
-        return out
-
-    return extended
-
-
 def _checked_counts(n: int, u: float, R: int):
     n, R = int(n), int(R)
     if n < 1:
@@ -308,35 +307,36 @@ def verify_marginal(
     a self-consistency test of the closed form.
     """
     tag = canonical_tag(tag)
-    if tag not in MARGINAL_TAGS:
+    rule = TAG_RULES.get(tag)
+    if rule is None:
         raise ConfigurationError(f"{tag} is not a marginal verification tag")
-    _check_tag_family(tag, law)
+    rule.check_family(law)
     n, u, R = _checked_counts(n, u, R)
-    if tag in _SUM_TAGS and u != 1.0:
+    if rule.chain is None and u != 1.0:
         raise ConfigurationError(
             f"{tag} checks the n-th indexed sum; its limit has no time "
             f"parameter, so u must be 1, got {u}"
         )
     if source == "simulation":
-        if tag == "Thm11-backward" or tag == "Thm15-backward":
+        if rule.chain == "backward":
             values, flags = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
-        elif tag == "Thm11-forward" or tag == "Thm15-forward":
+        elif rule.chain == "forward":
             values, flags = forward_marginal_values(
                 law, n, u, R, seed, x0=0.0, jobs=jobs
             )
         else:
             values, flags = pakes_values(law.a, law, n, R, seed, jobs=jobs)
-        values = values / _marginal_scale(tag, law, n)
+        values = values / rule.scale(law, n)
     elif source == "limit":
-        spec = _limit_spec(tag, law, u, gamma, seed)
-        values = limit_marginal_values(_limit_kind(tag), spec, R, u=u, jobs=jobs)
+        spec = rule.limit_spec(law, u, gamma, seed)
+        values = limit_marginal_values(rule.kind, spec, R, u=u, jobs=jobs)
         flags = np.zeros(R, dtype=np.int64)
     else:
         raise ConfigurationError(
             f"source must be 'simulation' or 'limit', got {source!r}"
         )
     samples, degenerate = _screen_degenerate(tag, values, flags, R)
-    D = ks_statistic(samples, _limit_cdf(tag, law, u))
+    D = ks_statistic(samples, rule.limit_cdf(law, u))
     return VerificationReport(
         tag=tag,
         n=n,
@@ -427,29 +427,29 @@ def verify_functional_sup(
     use ``law``.
     """
     tag = canonical_tag(tag)
-    if tag in _SUM_TAGS or tag not in MARGINAL_TAGS:
+    rule = TAG_RULES.get(tag)
+    if rule is None or rule.chain is None:
         raise ConfigurationError(f"{tag} has no path-functional form")
-    _check_tag_family(tag, law)
+    rule.check_family(law)
     n, T, R = _checked_counts(n, T, R)
-    if tag in ("Thm11-backward", "Thm15-backward"):
+    if rule.chain == "backward":
         values, flags = backward_sup_values(law, n, T, R, seed, jobs=jobs)
     else:
         values, flags = forward_sup_values(law, n, T, R, seed, x0=0.0, jobs=jobs)
-    sim = values / _marginal_scale(tag, law, n)
+    sim = values / rule.scale(law, n)
     sim_good, degenerate = _screen_degenerate(tag, sim, flags, R)
 
     reference = law if limit_law is None else limit_law
-    _check_tag_family(tag, reference)
-    spec = _limit_spec(tag, reference, T, gamma, seed)
-    kind = _limit_kind(tag)
-    if kind is LimitKind.FORWARD:
+    rule.check_family(reference)
+    spec = rule.limit_spec(reference, T, gamma, seed)
+    if rule.kind is LimitKind.FORWARD:
         lim = np.empty(R)
         for r in range(R):
             lim[r] = _forward_limit_sup(sample_prm(spec, rep=R + r))
     else:
         # the backward and peak limit paths are nondecreasing, so the
         # supremum over [0, T] is just the endpoint marginal
-        lim = limit_marginal_values(kind, spec, R, u=T, rep_start=R, jobs=jobs)
+        lim = limit_marginal_values(rule.kind, spec, R, u=T, rep_start=R, jobs=jobs)
     if threshold is None:
         threshold = two_sample_threshold(sim_good.size, lim.size, level)
     D = two_sample_ks(sim_good, lim)
@@ -469,4 +469,4 @@ def verify_functional_sup(
 
 def compatible_tags(law: CoefficientLaw):
     """Marginal tags whose limit law covers this family."""
-    return tuple(t for t in MARGINAL_TAGS if law.family in _TAG_FAMILIES[t])
+    return tuple(t for t, rule in TAG_RULES.items() if law.family in rule.families)

@@ -159,6 +159,21 @@ class TestVerifyCommand:
             "FunctionalSup",
         ]
 
+    def test_suite_skips_the_decayed_sum_off_u_one(self, capsys, tmp_path):
+        # Pakes114 has no time parameter, so a u != 1 suite leaves it out
+        code, _, err = run(
+            capsys, "verify", "--law", "cauchy", "--n", "300", "--R", "120",
+            "--u", "0.5", "--out", str(tmp_path),
+        )
+        assert code in (0, 2), err
+        doc = json.loads((tmp_path / "verify_reports.json").read_text())
+        assert [r["tag"] for r in doc["reports"]] == [
+            "Thm11-backward",
+            "Thm11-forward",
+            "ForwardBackwardEquality",
+            "FunctionalSup",
+        ]
+
     def test_functional_variant(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "verify", "--theorem", "functionalsup", "--variant",

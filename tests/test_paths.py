@@ -10,7 +10,6 @@ from perpetuities.errors import ParameterError
 from perpetuities.paths import (
     PointMeasure,
     StepPath,
-    eval_path,
     j1_distance,
     point_match_distance,
     read_point_measure_csv,
@@ -64,7 +63,7 @@ def j1_minmax_oracle(f, g):
 class TestStepPathBasics:
     def test_no_jump_constant(self):
         p = StepPath(1.0, [], [5.0])
-        assert eval_path(p, 0.7) == 5.0
+        assert p.value_at(0.7) == 5.0
 
     def test_right_continuity_at_jump(self):
         p = StepPath(1.0, [0.5], [0.0, 2.0])
@@ -305,5 +304,6 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(mu.marks, nu.marks)
 
     def test_missing_horizon_header_rejected(self):
-        with pytest.raises(ParameterError):
-            read_step_path_csv(io.StringIO("t,value\n0.0,1.0\n"))
+        for reader in (read_step_path_csv, read_point_measure_csv):
+            with pytest.raises(ParameterError):
+                reader(io.StringIO("t,value\n0.0,1.0\n"))

@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import kolmogi
 
 from perpetuities.errors import ConfigurationError, ParameterError, StatisticalError
-from perpetuities.laws import compute_bn, preset_law
+from perpetuities.laws import PRESET_NAMES, compute_bn, preset_law
 from perpetuities.limits import LimitKind, PrmSpec, extremal_path, sample_prm
 from perpetuities.simulate import (
     backward_marginal_values,
@@ -19,6 +19,7 @@ from perpetuities.simulate import (
 from perpetuities.verify import (
     MARGINAL_TAGS,
     REPORT_TAGS,
+    TAG_RULES,
     VerificationReport,
     _forward_limit_sup,
     canonical_tag,
@@ -320,12 +321,12 @@ class TestFunctionalSup:
         # for the nondecreasing limit kinds the limit-side sup is the
         # endpoint marginal, so the whole check can be reassembled by hand
         from perpetuities.limits import limit_marginal_values
-        from perpetuities.verify import DEFAULT_LIMIT_GAMMA, _limit_spec
+        from perpetuities.verify import DEFAULT_LIMIT_GAMMA
 
         r = 200
         rep = verify_functional_sup("thm11-backward", CAUCHY, 500, 1.0, r, seed=4)
         sups, flags = backward_sup_values(CAUCHY, 500, 1.0, r, seed=4)
-        spec = _limit_spec("Thm11-backward", CAUCHY, 1.0, DEFAULT_LIMIT_GAMMA, 4)
+        spec = TAG_RULES["Thm11-backward"].limit_spec(CAUCHY, 1.0, DEFAULT_LIMIT_GAMMA, 4)
         lim = limit_marginal_values(LimitKind.BACKWARD, spec, r, u=1.0, rep_start=r)
         manual = two_sample_ks(sups[flags == 0] / (CAUCHY.a * 500), lim)
         assert rep.D == manual
@@ -347,3 +348,35 @@ class TestFunctionalSup:
             verify_functional_sup(
                 "thm11-backward", CAUCHY, 500, 1.0, 200, seed=1, limit_law=bad
             )
+
+
+@pytest.mark.parametrize("tag", MARGINAL_TAGS)
+class TestTagRegistry:
+    def test_default_preset_is_covered(self, tag):
+        rule = TAG_RULES[tag]
+        law = preset_law(rule.preset)
+        assert law.family in rule.families
+        assert tag in compatible_tags(law)
+
+    def test_functional_sup_refuses_exactly_the_chainless_tags(self, tag):
+        # the chainless tags are the decayed sums, which have no time
+        # parameter: no sup form and no marginal away from u = 1
+        rule = TAG_RULES[tag]
+        law = preset_law(rule.preset)
+        assert (rule.chain is None) == tag.startswith("Pakes")
+        if rule.chain is None:
+            with pytest.raises(ConfigurationError, match="no path-functional form"):
+                verify_functional_sup(tag, law, 50, 1.0, 100, seed=1)
+            with pytest.raises(ConfigurationError, match="u must be 1"):
+                verify_marginal(tag, law, 50, 0.5, 100, seed=1)
+        else:
+            rep = verify_functional_sup(tag, law, 50, 1.0, 100, seed=1)
+            assert rep.detail.startswith(f"variant={tag} ")
+
+    def test_marginal_refuses_other_families(self, tag):
+        outside = [preset_law(name) for name in PRESET_NAMES]
+        outside = [law for law in outside if law.family not in TAG_RULES[tag].families]
+        assert outside
+        for law in outside:
+            with pytest.raises(ConfigurationError, match="applies to families"):
+                verify_marginal(tag, law, 100, 1.0, 100, seed=1)
