@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigurationError, ParameterError, StatisticalError
 from .functionals import (
@@ -81,6 +79,10 @@ class RunConfig:
     grid_step: float | None
     extra: dict = dataclasses.field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.R < 1 or self.jobs < 1:
+            raise ConfigurationError(f"--R and --jobs must be >= 1, got {self.R}, {self.jobs}")
+
     def resolved(self) -> dict:
         """Config dictionary embedded in every output file.
 
@@ -114,12 +116,8 @@ class _CliParser(argparse.ArgumentParser):
 
 def _add_law_flags(p):
     p.add_argument("--law", choices=PRESET_NAMES, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--m0", type=float, default=None)
-    p.add_argument("--q0", type=float, default=None)
+    for key in _LAW_OVERRIDE_KEYS:
+        p.add_argument(f"--{key}", type=float, default=None)
 
 
 def _add_run_flags(p):
@@ -218,8 +216,8 @@ def _floats_list(text, flag):
         vals = [float(v) for v in text]
     else:
         vals = [float(s) for s in str(text).split(",") if s.strip()]
-    if not vals:
-        raise ConfigurationError(f"{flag} must list at least one value")
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise ConfigurationError(f"{flag} must list finite values, got {text!r}")
     return vals
 
 

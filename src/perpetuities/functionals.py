@@ -9,7 +9,7 @@ also scores finite inputs against the hypotheses that guarantee the
 collapse, and produces decay tables for bundled analytic instances.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .paths import (
     point_match_distance,
     restrict_path,
 )
-from .slog import signed_log_diff
+from .slog import signed_log_cumsum
+# unused here, kept importable for the hook of bench/tracing.py
+from .slog import signed_log_diff  # noqa: F401
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -98,14 +100,9 @@ def fn_functional(f: StepPath, nu: SignedAtomSequence, c: float) -> StepPath:
     _check_atoms_inside(f, times)
     meta = {"kind": "smoothed-signed-sum", "c": float(c), "atoms": nu.count}
     init = max(float(f.values[0]), 0.0)
-    if nu.count == 0:
-        meta["cancelled"] = 0
-        return StepPath(f.horizon, np.empty(0), np.array([init]), meta=meta)
     levels = c * (f.values_at(times) + nu.measure.marks)
-    pos = np.logaddexp.accumulate(np.where(nu.signs > 0, levels, -np.inf))
-    neg = np.logaddexp.accumulate(np.where(nu.signs < 0, levels, -np.inf))
-    sign, mag, cancelled = signed_log_diff(pos, neg)
-    running = np.where(sign == 0, 0.0, np.maximum(mag, 0.0)) / c
+    _, mag, cancelled = signed_log_cumsum(nu.signs, levels)
+    running = np.maximum(mag, 0.0) / c
     meta["cancelled"] = int(np.sum(cancelled))
     return _collapse_running(f.horizon, times, running, init, meta)
 

@@ -179,8 +179,8 @@ def drift_marginal_cdf(x, u: float, c: float, a: float):
     """
     _check_cdf_params(u=u, c=c, a=a)
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0):
-        raise ParameterError("x must be nonnegative")
+    if np.any(np.isnan(xv) | (xv < 0)):
+        raise ParameterError("x must be nonnegative, not NaN")
     out = (xv / (xv + u)) ** (c / a)
     return out if out.ndim else float(out)
 
@@ -195,8 +195,8 @@ def peak_marginal_cdf(x, u: float, alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"tail exponent must lie in (0, 1], got {alpha}")
     xv = np.asarray(x, dtype=float)
-    if np.any(xv <= 0):
-        raise ParameterError("x must be positive")
+    if np.any(np.isnan(xv) | (xv <= 0)):
+        raise ParameterError("x must be positive, not NaN")
     out = np.exp(-u * xv ** -alpha)
     return out if out.ndim else float(out)
 
@@ -209,8 +209,8 @@ def drift_exceedance_intensity(x, u: float, c: float, a: float):
     """
     _check_cdf_params(u=u, c=c, a=a)
     xv = np.asarray(x, dtype=float)
-    if np.any(xv <= 0):
-        raise ParameterError("x must be positive")
+    if np.any(np.isnan(xv) | (xv <= 0)):
+        raise ParameterError("x must be positive, not NaN")
     out = (c / a) * np.log((xv + u) / xv)
     return out if out.ndim else float(out)
 

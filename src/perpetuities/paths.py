@@ -163,6 +163,21 @@ def _j1_feasible(dvals, pairable, D) -> bool:
     return bool(reach[-1])
 
 
+def _least_feasible(cands: np.ndarray, feasible) -> float:
+    # bisection for the smallest of the sorted candidates that passes the
+    # monotone test ``feasible``; the last candidate must pass
+    if feasible(cands[0]):
+        return float(cands[0])
+    lo, hi = 0, cands.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return float(cands[hi])
+
+
 def j1_distance(f: StepPath, g: StepPath) -> float:
     """Skorokhod J1 distance over jump-aligned piecewise linear time changes.
 
@@ -188,16 +203,7 @@ def j1_distance(f: StepPath, g: StepPath) -> float:
         pair_cost = np.zeros((a.size, b.size))
     cands = np.concatenate((dvals.ravel(), pair_cost.ravel(), [upper]))
     cands = np.unique(cands[(cands <= upper) & np.isfinite(cands)])
-    lo, hi = 0, cands.size - 1
-    if _j1_feasible(dvals, pair_cost <= cands[0], cands[0]):
-        return float(cands[0])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _j1_feasible(dvals, pair_cost <= cands[mid], cands[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return float(cands[hi])
+    return _least_feasible(cands, lambda D: _j1_feasible(dvals, pair_cost <= D, D))
 
 
 def point_match_distance(nu1: PointMeasure, nu2: PointMeasure, delta: float) -> float:
@@ -224,16 +230,7 @@ def point_match_distance(nu1: PointMeasure, nu2: PointMeasure, delta: float) -> 
         match = maximum_bipartite_matching(graph, perm_type="column")
         return int(np.sum(match >= 0)) == n
 
-    lo, hi = 0, cands.size - 1
-    if feasible(cands[0]):
-        return float(cands[0])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(cands[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return float(cands[hi])
+    return _least_feasible(cands, feasible)
 
 
 def restrict_path(p: StepPath, horizon: float) -> StepPath:

@@ -10,9 +10,10 @@ S_k = log|M_1...M_k| the running sum of log|M| and Pi_k = M_1...M_k.  The
 backward terms have magnitudes S_{i-1} + log|Q_i|.  The forward chain
 unrolls to the closed form X_k = Pi_k (x0 + sum_{i<=k} Q_i / Pi_i), so its
 terms have magnitudes log|Q_i| - S_i (x0 leads as one more term) and the
-pool sum is shifted back by S_k.  Each sign pool is a prefix log-sum-exp,
-and the two pools meet in a single signed combine per iterate, so no
-magnitude is ever exponentiated.  Near-cancelled combines are flagged and
+pool sum is shifted back by S_k.  The prefix sums come from
+``slog.signed_log_cumsum`` (the decayed Pakes sums, which need only the
+total, from ``slog.signed_log_sum``), so no magnitude is ever
+exponentiated.  Near-cancelled combines are flagged and
 surface as per-replication counts so the statistical layer can exclude
 them; an exact zero iterate (excluded by the model assumptions, possible
 only for contrived point-mass laws) raises in the path API and is flagged
@@ -47,9 +48,9 @@ import numpy as np
 from .errors import ParameterError, StatisticalError
 from .laws import CoefficientLaw, draw_log_mq
 from .paths import StepPath
-# signed_log_add_arrays is unused here but stays importable from this
-# module: bench/tracing.py wraps perpetuities.simulate.signed_log_add_arrays
-from .slog import _pool_logsumexp, signed_log_add_arrays, signed_log_diff  # noqa: F401
+from .slog import signed_log_cumsum, signed_log_sum
+# unused here, kept importable for the hooks of bench/tracing.py
+from .slog import signed_log_add_arrays, signed_log_diff  # noqa: F401
 
 __all__ = [
     "SimScenario",
@@ -113,9 +114,7 @@ def _chain_mags(law: CoefficientLaw, rng, count: int, x0: float = 0.0, forward: 
     else:
         term_sign = np.concatenate(([1], sign_pi[:-1])) * sign_q
         term_mag = np.concatenate(([0.0], S[:-1])) + log_q
-    pos = np.logaddexp.accumulate(np.where(term_sign > 0, term_mag, -np.inf))
-    neg = np.logaddexp.accumulate(np.where(term_sign < 0, term_mag, -np.inf))
-    sign, mag, cancelled = signed_log_diff(pos, neg)
+    sign, mag, cancelled = signed_log_cumsum(term_sign, term_mag)
     if forward:
         # entry 0 is the pool of x0 alone
         return sign_pi * sign[1:], S + mag[1:], cancelled[1:]
@@ -163,7 +162,7 @@ def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: in
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
     _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), int(n) + 1)
-    return _pool_logsumexp(-a * np.arange(n + 1) + log_q)
+    return signed_log_sum(np.ones(n + 1), -a * np.arange(n + 1) + log_q).logmag
 
 
 def scale_path(p: StepPath, divisor: float) -> StepPath:

@@ -1,10 +1,12 @@
 """Signed log-space scalars.
 
 Magnitudes that span thousands of e-folds cannot be added as ordinary
-floats, so values are carried as (sign, log magnitude) pairs.  Sums are
-reduced per sign pool around the pool maximum; the only true subtraction
-happens in one final signed combine, where a near-total loss of magnitude
-is flagged on the result instead of being returned silently.
+floats, so values are carried as (sign, log magnitude) pairs.  Every
+signed sum runs through one of two kernels: ``signed_log_cumsum`` (all
+prefix sums) or ``signed_log_sum`` (the total, each sign pool reduced
+around its maximum).  The only true subtraction happens in one final
+signed combine, where a near-total loss of magnitude is flagged on the
+result instead of being returned silently.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ class SignedLogValue:
     """A real number stored as sign and log of absolute value.
 
     ``sign`` is -1, 0 or +1 and ``logmag`` is ``log|x|`` (``-inf`` exactly
-    when the value is zero).  ``cancelled`` marks results whose magnitude
-    fell below ``CANCEL_RTOL`` times the larger operand during a signed add.
+    when the value is zero, never ``+inf``).  ``cancelled`` marks results
+    whose magnitude fell below ``CANCEL_RTOL`` times the larger operand
+    during a signed add.
     """
 
     sign: int
@@ -53,8 +56,8 @@ class SignedLogValue:
                 "sign 0 must pair with logmag -inf and vice versa "
                 f"(got sign={self.sign}, logmag={self.logmag})"
             )
-        if math.isnan(self.logmag):
-            raise ParameterError("logmag must not be NaN")
+        if math.isnan(self.logmag) or self.logmag == math.inf:
+            raise ParameterError(f"logmag must be a number below +inf, got {self.logmag}")
 
     @classmethod
     def from_real(cls, x: float) -> "SignedLogValue":
@@ -101,35 +104,21 @@ def slog_add(x: SignedLogValue, y: SignedLogValue) -> SignedLogValue:
 
 def _pool_logsumexp(mags: np.ndarray) -> float:
     # all terms share a sign, so this is a plain max-shifted reduction
-    if mags.size == 0:
-        return _NEG_INF
-    m = float(np.max(mags))
+    m = float(np.max(mags, initial=_NEG_INF))
     if m == _NEG_INF:
         return _NEG_INF
     return m + math.log(float(np.sum(np.exp(mags - m))))
 
 
 def slog_sum(terms: Iterable[SignedLogValue]) -> SignedLogValue:
-    """Sum of signed log-space terms.
-
-    Two-pass: the positive and negative pools are each reduced around
-    their own maximum, then combined once with sign.  The result does not
-    depend on term order beyond roundoff.
-    """
-    pos = []
-    neg = []
-    for t in terms:
-        if t.sign > 0:
-            pos.append(t.logmag)
-        elif t.sign < 0:
-            neg.append(t.logmag)
-    p = _pool_logsumexp(np.asarray(pos, dtype=float))
-    n = _pool_logsumexp(np.asarray(neg, dtype=float))
-    return _scalar(*signed_log_diff(np.array([p]), np.array([n])))
+    """Sum of signed log-space terms, reduced by ``signed_log_sum``."""
+    terms = list(terms)
+    return signed_log_sum(np.array([t.sign for t in terms]),
+                          np.array([t.logmag for t in terms], dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# array kernels used by the simulators
+# array kernels
 
 def signed_log_diff(pos: np.ndarray, neg: np.ndarray):
     """Combine a positive pool and a negative pool, elementwise.
@@ -140,18 +129,35 @@ def signed_log_diff(pos: np.ndarray, neg: np.ndarray):
     pos = np.asarray(pos, dtype=float)
     neg = np.asarray(neg, dtype=float)
     sign = (pos > neg).astype(np.int64) - (neg > pos).astype(np.int64)
-    mag = np.full(pos.shape, _NEG_INF)
-    cancelled = (sign == 0) & np.isfinite(pos) & np.isfinite(neg)
-    live = sign != 0
-    if np.any(live):
-        big = np.maximum(pos[live], neg[live])
-        small = np.minimum(pos[live], neg[live])
-        res = big + np.log1p(-np.exp(small - big))
-        mag[live] = res
-        near = np.zeros(pos.shape, dtype=bool)
-        near[live] = (res - big) < _LOG_CANCEL
-        cancelled |= near
+    big = np.maximum(pos, neg)
+    # a tie takes log1p(-1), or -inf - -inf for two empty pools; np.where
+    # discards those entries
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = big + np.log1p(-np.exp(np.minimum(pos, neg) - big))
+        near = (res - big) < _LOG_CANCEL
+    tie = sign == 0
+    mag = np.where(tie, _NEG_INF, res)
+    cancelled = np.where(tie, np.isfinite(pos) & np.isfinite(neg), near)
     return sign, mag, cancelled
+
+
+def signed_log_cumsum(signs, mags):
+    """(sign, logmag, cancelled) of every prefix sum of the terms
+    ``signs[k] * exp(mags[k])``: a prefix log-sum-exp per sign pool, then
+    one ``signed_log_diff`` per prefix."""
+    signs, mags = np.asarray(signs), np.asarray(mags, dtype=float)
+    pos = np.logaddexp.accumulate(np.where(signs > 0, mags, _NEG_INF))
+    neg = np.logaddexp.accumulate(np.where(signs < 0, mags, _NEG_INF))
+    return signed_log_diff(pos, neg)
+
+
+def signed_log_sum(signs, mags) -> SignedLogValue:
+    """The last prefix of ``signed_log_cumsum``, by one max-shifted reduce
+    per sign pool; it does not depend on term order beyond roundoff."""
+    signs, mags = np.asarray(signs), np.asarray(mags, dtype=float)
+    pos = _pool_logsumexp(mags[signs > 0])
+    neg = _pool_logsumexp(mags[signs < 0])
+    return _scalar(*signed_log_diff(np.array([pos]), np.array([neg])))
 
 
 def signed_log_add_arrays(sign_a, mag_a, sign_b, mag_b):

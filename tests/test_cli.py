@@ -65,6 +65,24 @@ class TestLimitsCdf:
         assert run(capsys, "limits", "cdf", "--kind", "thm9", "--xs", "1")[0] == 1
 
 
+class TestDomainChecks:
+    # an out-of-domain input fails with a package error and exit code 1,
+    # not a NaN row, a RuntimeWarning or a silent no-op
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("limits", "cdf", "--kind", "thm11", "--ca", "1", "--xs", "nan,1"),
+        ("limits", "cdf", "--kind", "thm11", "--ca", "1", "--xs", "inf"),
+        ("simulate", "--n", "5", "--R", "-1"),
+        ("limits", "path", "--R", "-2"),
+        ("simulate", "--n", "5", "--R", "1", "--jobs", "-2"),
+    ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs"])
+    def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "unexpected" not in err
+        assert not any(tmp_path.iterdir())
+
+
 class TestLimitsSampling:
     def test_prm_atoms(self, capsys, tmp_path):
         code, _, _ = run(

@@ -304,3 +304,13 @@ class TestClosedForms:
             drift_exceedance_intensity(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             drift_exceedance_intensity(1.0, 1.0, -1.0, 1.0)
+
+    def test_nan_points_rejected(self):
+        # NaN fails every ordered comparison, so it needs its own check
+        for x in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ParameterError):
+                drift_marginal_cdf(x, 1.0, 1.0, 1.0)
+            with pytest.raises(ParameterError):
+                peak_marginal_cdf(x, 1.0, 0.5)
+            with pytest.raises(ParameterError):
+                drift_exceedance_intensity(x, 1.0, 1.0, 1.0)

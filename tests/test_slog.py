@@ -41,6 +41,15 @@ class TestSignedLogValue:
         with pytest.raises(ParameterError):
             SignedLogValue(1, np.nan)
 
+    def test_rejects_infinite_magnitude(self):
+        # +inf would let slog_sum return an exact 0 for inf - inf
+        with pytest.raises(ParameterError):
+            SignedLogValue(-1, np.inf)
+        with pytest.raises(ParameterError):
+            SignedLogValue.from_real(np.inf)
+        with pytest.raises(ParameterError):
+            SignedLogValue.from_real(-np.inf)
+
     def test_round_trip(self):
         # exp(log x) amplifies the log's rounding by |log x|, so the bound
         # scales with the stored magnitude
