@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigurationError, ParameterError, StatisticalError
 from .functionals import (
@@ -62,49 +64,6 @@ from .verify import (
 
 _LAW_OVERRIDE_KEYS = ("a", "c", "alpha", "beta", "m0", "q0")
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    command: str
-    law: dict | None
-    n: int
-    T: float
-    u: float
-    R: int
-    seed: int
-    jobs: int
-    out: str | None
-    threshold: float | None
-    grid_step: float | None
-    extra: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.R < 1 or self.jobs < 1:
-            raise ConfigurationError(f"--R and --jobs must be >= 1, got {self.R}, {self.jobs}")
-
-    def resolved(self) -> dict:
-        """Config dictionary embedded in every output file.
-
-        The job count and output directory are omitted: neither affects
-        any emitted value, and reruns that vary only those must stay
-        byte-identical.
-        """
-        d = {
-            "command": self.command,
-            "version": __version__,
-            "law": self.law,
-            "n": self.n,
-            "T": self.T,
-            "u": self.u,
-            "R": self.R,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "grid_step": self.grid_step,
-        }
-        d.update(self.extra)
-        return {k: v for k, v in sorted(d.items()) if v is not None}
-
 
 class _CliParser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage problems; the contract here
@@ -114,22 +73,40 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_floats(text):
+    vals = [float(s) for s in text.split(",") if s.strip()]
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"must list finite values, got {text!r}")
+    return vals
+
+
+def _rounded_ints(text):
+    return [int(round(v)) for v in _finite_floats(text)]
+
+
 def _add_law_flags(p):
-    p.add_argument("--law", choices=PRESET_NAMES, default=None)
+    p.add_argument("--law", choices=PRESET_NAMES)
     for key in _LAW_OVERRIDE_KEYS:
-        p.add_argument(f"--{key}", type=float, default=None)
+        p.add_argument(f"--{key}", type=float)
 
 
-def _add_run_flags(p):
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--R", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--config", type=str, default=None)
+def _add_run_flags(p, T=1.0):
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--T", type=float, default=T)
+    p.add_argument("--u", type=float, default=1.0)
+    p.add_argument("--R", type=_at_least_one, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=_at_least_one, default=1)
+    p.add_argument("--out", type=str)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--config", type=str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,36 +117,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate chain paths to CSV")
     _add_law_flags(p)
     _add_run_flags(p)
-    p.add_argument("--chain", choices=("backward", "forward"), default=None)
-    p.add_argument("--x0", type=float, default=None)
+    p.add_argument("--chain", choices=("backward", "forward"), default="backward")
+    p.add_argument("--x0", type=float, default=0.0)
 
     p = sub.add_parser("limits", help="limit-process samples, paths, CDF tables")
     p.add_argument("mode", choices=("cdf", "prm", "path"))
     _add_run_flags(p)
-    p.add_argument("--kind", type=str, default=None)
-    p.add_argument("--ca", type=float, default=None,
+    p.add_argument("--kind", type=str)
+    p.add_argument("--ca", type=float,
                    help="tail-to-drift ratio c/a for the drift-family cdf")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-    p.add_argument("--xs", type=str, default=None,
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--grid-step", dest="grid_step", type=float)
+    p.add_argument("--xs", type=_finite_floats,
                    help="comma-separated evaluation points")
 
     p = sub.add_parser("verify", help="verification suite against limit laws")
     _add_law_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--theorem", type=str, default=None)
-    p.add_argument("--variant", type=str, default=None,
+    _add_run_flags(p, T=None)  # None: T falls back to u
+    p.add_argument("--theorem", type=str)
+    p.add_argument("--variant", type=str,
                    help="marginal tag behind a FunctionalSup check")
-    p.add_argument("--gamma", type=float, default=None)
 
     p = sub.add_parser("theorem21", help="condition report and decay table")
-    _add_run_flags(p)
-    p.add_argument("--instance", choices=instance_names(), default=None)
-    p.add_argument("--ns", type=str, default=None,
+    _add_run_flags(p, T=None)  # None: T falls back to the instance horizon
+    p.add_argument("--instance", choices=instance_names(), default="mixed-sign")
+    p.add_argument("--ns", type=_rounded_ints,
                    help="comma-separated stage sizes")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=float)
 
     p = sub.add_parser("classify", help="regime classification as JSON")
     _add_law_flags(p)
@@ -178,97 +154,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args) -> None:
-    path = getattr(args, "config", None)
-    if path is None:
-        return
+def _config_flags(args) -> list:
+    """The ``--config`` file's keys as ``--key=value`` flags.
+
+    List values become comma lists and ``null`` values are left out, so
+    the file passes the same type and choice checks as the command line.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}")
+        raise ConfigurationError(f"cannot read config file {args.config}: {exc}")
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
+    flags = []
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in ("command", "config", "mode"):
+        # an exact flag name only: argparse would accept a prefix of one
+        if key == "config" or key.replace("-", "_") not in vars(args):
             raise ConfigurationError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        if value is not None:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _resolve_law(args, default_preset=None):
-    name = getattr(args, "law", None) or default_preset
+    name = args.law or default_preset
     if name is None:
         raise ConfigurationError("a coefficient law is required; pass --law")
     overrides = {}
     for key in _LAW_OVERRIDE_KEYS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
-            overrides[key] = float(val)
+            overrides[key] = val
     return preset_law(name, **overrides)
 
 
-def _floats_list(text, flag):
-    if text is None:
-        raise ConfigurationError(f"{flag} is required here")
-    if isinstance(text, (list, tuple)):
-        vals = [float(v) for v in text]
-    else:
-        vals = [float(s) for s in str(text).split(",") if s.strip()]
-    if not vals or not all(math.isfinite(v) for v in vals):
-        raise ConfigurationError(f"{flag} must list finite values, got {text!r}")
-    return vals
+def _resolved(args, law=None, **extra) -> dict:
+    """Config dictionary embedded in every output file.
+
+    The job count and output directory are omitted: neither affects
+    any emitted value, and reruns that vary only those must stay
+    byte-identical.  ``extra`` adds command-specific keys and may
+    override the shared ones.
+    """
+    d = {
+        "command": args.command,
+        "version": __version__,
+        "law": None if law is None else law_to_dict(law),
+        "n": args.n,
+        "T": args.T,
+        "u": args.u,
+        "R": args.R,
+        "seed": args.seed,
+        "threshold": args.threshold,
+        **extra,
+    }
+    return {k: v for k, v in sorted(d.items()) if v is not None}
 
 
-def _ints_list(text, flag):
-    return [int(round(v)) for v in _floats_list(text, flag)]
-
-
-def _pick(value, fallback):
-    return fallback if value is None else value
-
-
-def _make_config(args, law, extra) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        law=None if law is None else law_to_dict(law),
-        n=int(_pick(getattr(args, "n", None), 1000)),
-        T=float(_pick(getattr(args, "T", None), 1.0)),
-        u=float(_pick(getattr(args, "u", None), 1.0)),
-        R=int(_pick(getattr(args, "R", None), 1000)),
-        seed=int(_pick(getattr(args, "seed", None), 0)),
-        jobs=int(_pick(getattr(args, "jobs", None), os.cpu_count() or 1)),
-        out=getattr(args, "out", None),
-        threshold=getattr(args, "threshold", None),
-        grid_step=getattr(args, "grid_step", None),
-        extra=extra,
-    )
-
-
-def _out_file(cfg: RunConfig, name: str):
-    out = cfg.out if cfg.out is not None else "."
+def _out_file(args, name: str):
+    out = "." if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
 
 
-def _config_line(cfg: RunConfig) -> str:
-    return f"# config: {json.dumps(cfg.resolved(), sort_keys=True)}\n"
+def _config_line(args, law=None, **extra) -> str:
+    return f"# config: {json.dumps(_resolved(args, law, **extra), sort_keys=True)}\n"
 
 
 def _cmd_simulate(args) -> int:
     law = _resolve_law(args, "cauchy")
-    chain = _pick(getattr(args, "chain", None), "backward")
-    cfg = _make_config(args, law, {"chain": chain, "x0": _pick(args.x0, 0.0)})
-    scenario = SimScenario(law, cfg.n, T=cfg.T, x0=float(cfg.extra["x0"]), seed=cfg.seed)
+    scenario = SimScenario(law, args.n, T=args.T, x0=args.x0, seed=args.seed)
     simulate = (
-        simulate_perpetuity_path if chain == "backward" else simulate_forward_chain_path
+        simulate_perpetuity_path if args.chain == "backward" else simulate_forward_chain_path
     )
-    paths = [simulate(scenario, rep=r) for r in range(cfg.R)]
-    with _out_file(cfg, "simulate_paths.csv") as fh:
-        fh.write(_config_line(cfg))
+    paths = [simulate(scenario, rep=r) for r in range(args.R)]
+    with _out_file(args, "simulate_paths.csv") as fh:
+        fh.write(_config_line(args, law, chain=args.chain, x0=args.x0))
         write_paths_csv(paths, fh)
-    print(f"wrote {cfg.R} {chain} paths (n={cfg.n}, T={cfg.T})")
+    print(f"wrote {args.R} {args.chain} paths (n={args.n}, T={args.T})")
     return 0
 
 
@@ -283,86 +249,79 @@ _PATH_KINDS = {
 def _cmd_limits(args) -> int:
     mode = args.mode
     if mode == "cdf":
-        kind = _pick(args.kind, "thm11").lower()
+        kind = "thm11" if args.kind is None else args.kind.lower()
         if kind not in _CDF_KINDS:
             raise ConfigurationError(f"--kind must be one of {_CDF_KINDS}, got {kind}")
-        xs = _floats_list(args.xs, "--xs")
-        u = float(_pick(args.u, 1.0))
+        if args.xs is None:
+            raise ConfigurationError("--xs is required here")
         if kind == "thm11":
-            ratio = _pick(args.ca, None)
-            if ratio is None:
+            if args.ca is None:
                 raise ConfigurationError("the drift-family cdf needs --ca")
-            rows = [(x, float(drift_marginal_cdf(x, u, float(ratio), 1.0))) for x in xs]
-            extra = {"mode": mode, "kind": kind, "ca": float(ratio), "xs": xs}
+            rows = [(x, float(drift_marginal_cdf(x, args.u, args.ca, 1.0))) for x in args.xs]
+            extra = {"ca": args.ca}
         else:
-            alpha = _pick(args.alpha, None)
-            if alpha is None:
+            if args.alpha is None:
                 raise ConfigurationError("the peak-family cdf needs --alpha")
-            rows = [(x, float(peak_marginal_cdf(x, u, float(alpha)))) for x in xs]
-            extra = {"mode": mode, "kind": kind, "alpha": float(alpha), "xs": xs}
-        cfg = _make_config(args, None, extra)
-        lines = ["x,F"] + [f"{float(x)!r},{f!r}" for x, f in rows]
-        if cfg.out is None:
+            rows = [(x, float(peak_marginal_cdf(x, args.u, args.alpha))) for x in args.xs]
+            extra = {"alpha": args.alpha}
+        lines = ["x,F"] + [f"{x!r},{f!r}" for x, f in rows]
+        if args.out is None:
             print("\n".join(lines))
         else:
-            with _out_file(cfg, "limits_cdf.csv") as fh:
-                fh.write(_config_line(cfg))
+            with _out_file(args, "limits_cdf.csv") as fh:
+                fh.write(_config_line(args, mode=mode, kind=kind, xs=args.xs,
+                                      grid_step=args.grid_step, **extra))
                 fh.write("\n".join(lines) + "\n")
             print(f"wrote {len(rows)} cdf rows")
         return 0
 
-    c = float(_pick(args.c, 1.0))
-    alpha = float(_pick(args.alpha, 1.0))
-    gamma = float(_pick(args.gamma, 0.01))
+    alpha = 1.0 if args.alpha is None else args.alpha
+    extra = {"mode": mode, "c": args.c, "alpha": alpha, "gamma": args.gamma,
+             "grid_step": args.grid_step}
+    spec = PrmSpec(c=args.c, alpha=alpha, T=args.T, gamma=args.gamma, seed=args.seed)
     if mode == "prm":
-        cfg = _make_config(args, None, {"mode": mode, "c": c, "alpha": alpha, "gamma": gamma})
-        spec = PrmSpec(c=c, alpha=alpha, T=cfg.T, gamma=gamma, seed=cfg.seed)
-        with _out_file(cfg, "limits_prm.csv") as fh:
-            fh.write(_config_line(cfg))
+        with _out_file(args, "limits_prm.csv") as fh:
+            fh.write(_config_line(args, **extra))
             fh.write("rep,time,mark\n")
-            for r in range(cfg.R):
+            for r in range(args.R):
                 pm = sample_prm(spec, rep=r)
                 for t, y in zip(pm.times, pm.marks):
                     fh.write(f"{r},{float(t)!r},{float(y)!r}\n")
-        print(f"wrote atom samples for {cfg.R} replications")
+        print(f"wrote atom samples for {args.R} replications")
         return 0
 
-    kind_name = _pick(args.kind, "backward").lower()
+    kind_name = "backward" if args.kind is None else args.kind.lower()
     if kind_name not in _PATH_KINDS:
         raise ConfigurationError(
             f"--kind must be one of {tuple(_PATH_KINDS)}, got {kind_name}"
         )
     kind = _PATH_KINDS[kind_name]
-    cfg = _make_config(
-        args, None, {"mode": mode, "kind": kind_name, "c": c, "alpha": alpha, "gamma": gamma}
-    )
-    spec = PrmSpec(c=c, alpha=alpha, T=cfg.T, gamma=gamma, seed=cfg.seed)
-    step = cfg.grid_step if kind is LimitKind.FORWARD else None
+    step = args.grid_step if kind is LimitKind.FORWARD else None
     paths = []
-    for r in range(cfg.R):
+    for r in range(args.R):
         pm = sample_prm(spec, rep=r)
         p = extremal_path(pm, kind, grid_step=step)
         p.meta["rep"] = r
         paths.append(p)
-    with _out_file(cfg, "limits_paths.csv") as fh:
-        fh.write(_config_line(cfg))
+    with _out_file(args, "limits_paths.csv") as fh:
+        fh.write(_config_line(args, kind=kind_name, **extra))
         write_paths_csv(paths, fh)
-    print(f"wrote {cfg.R} {kind_name} limit paths")
+    print(f"wrote {args.R} {kind_name} limit paths")
     return 0
 
 
-def _run_verification(cfg: RunConfig, law, tag, variant):
-    common = dict(seed=cfg.seed, jobs=cfg.jobs)
+def _run_verification(args, T, law, tag, variant):
+    common = dict(seed=args.seed, jobs=args.jobs)
     if tag == "ForwardBackwardEquality":
         return verify_forward_backward_equality(
-            law, cfg.n, cfg.u, cfg.R, threshold=cfg.threshold, **common
+            law, args.n, args.u, args.R, threshold=args.threshold, **common
         )
     if tag == "FunctionalSup":
         return verify_functional_sup(
-            variant, law, cfg.n, cfg.T, cfg.R, threshold=cfg.threshold, **common
+            variant, law, args.n, T, args.R, threshold=args.threshold, **common
         )
-    threshold = DEFAULT_D_BOUND if cfg.threshold is None else cfg.threshold
-    return verify_marginal(tag, law, cfg.n, cfg.u, cfg.R, threshold=threshold, **common)
+    threshold = DEFAULT_D_BOUND if args.threshold is None else args.threshold
+    return verify_marginal(tag, law, args.n, args.u, args.R, threshold=threshold, **common)
 
 
 def _cmd_verify(args) -> int:
@@ -377,9 +336,7 @@ def _cmd_verify(args) -> int:
             if args.variant is not None
             else (fallback[0] if fallback else None)
         )
-    if getattr(args, "T", None) is None and getattr(args, "u", None) is not None:
-        args.T = args.u
-    cfg = _make_config(args, law, {"theorem": tag, "variant": variant})
+    T = args.u if args.T is None else args.T
 
     if tag is not None:
         tags = [tag]
@@ -387,19 +344,20 @@ def _cmd_verify(args) -> int:
         # full suite for this family: all compatible marginals (the
         # chainless sums have no time parameter, so only at u = 1) plus the
         # law-agnostic equality check and one functional-sup variant
-        tags = [t for t in compatible_tags(law) if TAG_RULES[t].chain or cfg.u == 1.0]
+        tags = [t for t in compatible_tags(law) if TAG_RULES[t].chain or args.u == 1.0]
         tags.append("ForwardBackwardEquality")
         if variant in TAG_RULES and TAG_RULES[variant].chain:
             tags.append("FunctionalSup")
     # the suite reads some batches twice (Thm11-forward and the equality
     # check, Thm11-backward and its sup), so they share one computation
     with shared_batches():
-        reports = [_run_verification(cfg, law, t, variant) for t in tags]
+        reports = [_run_verification(args, T, law, t, variant) for t in tags]
 
-    with _out_file(cfg, "verify_reports.json") as fh:
-        write_reports_json(reports, fh, config=cfg.resolved())
-    with _out_file(cfg, "verify_summary.csv") as fh:
-        write_reports_csv(reports, fh, config=cfg.resolved())
+    config = _resolved(args, law, T=T, theorem=tag, variant=variant)
+    with _out_file(args, "verify_reports.json") as fh:
+        write_reports_json(reports, fh, config=config)
+    with _out_file(args, "verify_summary.csv") as fh:
+        write_reports_csv(reports, fh, config=config)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -410,17 +368,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_theorem21(args) -> int:
-    name = _pick(args.instance, "mixed-sign")
-    ns = None if args.ns is None else tuple(_ints_list(args.ns, "--ns"))
-    inst = bundled_instance(name, ns=ns, seed=_pick(args.seed, 0))
-    horizon = float(_pick(args.T, inst.f_limit.horizon))
+    ns = None if args.ns is None else tuple(args.ns)
+    inst = bundled_instance(args.instance, ns=ns, seed=args.seed)
+    horizon = float(inst.f_limit.horizon if args.T is None else args.T)
     gamma = args.gamma if args.gamma is not None else default_gamma(inst.nu_limit)
-    cfg = _make_config(args, None, {"instance": name, "ns": ns, "gamma": float(gamma)})
-    cfg = dataclasses.replace(cfg, T=horizon)
+    config_line = _config_line(args, T=horizon, instance=args.instance, ns=ns,
+                               gamma=float(gamma))
 
     report = check_conditions(inst, horizon, gamma)
-    with _out_file(cfg, "theorem21_conditions.csv") as fh:
-        fh.write(_config_line(cfg))
+    with _out_file(args, "theorem21_conditions.csv") as fh:
+        fh.write(config_line)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "status", "detail"])
         writer.writerows(report.rows())
@@ -431,8 +388,8 @@ def _cmd_theorem21(args) -> int:
         return 1
 
     rows = convergence_demo(inst, horizon, gamma=gamma)
-    with _out_file(cfg, "theorem21_decay.csv") as fh:
-        fh.write(_config_line(cfg))
+    with _out_file(args, "theorem21_decay.csv") as fh:
+        fh.write(config_line)
         fh.write("n,c_n,d_n\n")
         for n, c, d in rows:
             fh.write(f"{n},{float(c)!r},{float(d)!r}\n")
@@ -442,19 +399,18 @@ def _cmd_theorem21(args) -> int:
 
 def _cmd_classify(args) -> int:
     law = _resolve_law(args)
-    cfg = _make_config(args, law, {})
-    regime = classify_regime(law)
+    regime = classify_regime(law, rng=np.random.default_rng(args.seed))
     payload = dataclasses.asdict(regime)
     for key, value in payload.items():
         if isinstance(value, float) and math.isnan(value):
             payload[key] = None
         elif isinstance(value, tuple):
             payload[key] = list(value)
-    doc = {"config": cfg.resolved(), "regime": payload}
+    doc = {"config": _resolved(args, law), "regime": payload}
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
-    if cfg.out is not None:
-        with _out_file(cfg, "classify_regime.json") as fh:
+    if args.out is not None:
+        with _out_file(args, "classify_regime.json") as fh:
             fh.write(text + "\n")
     return 0
 
@@ -469,10 +425,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        if args.config is not None:
+            # the file's flags go first, so an explicit flag still wins
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return _HANDLERS[args.command](args)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

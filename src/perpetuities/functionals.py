@@ -341,6 +341,19 @@ def instance_names():
     return ("mixed-sign", "all-plus", "single-atom", "prm")
 
 
+def _constant_instance(name, ns, f0, nu) -> ConvergenceInstance:
+    # every stage holds the limit pair (f0, nu) itself, with c_n = n
+    return ConvergenceInstance(
+        name=name,
+        ns=ns,
+        f_seq=(f0,) * len(ns),
+        f_limit=f0,
+        nu_seq=(nu,) * len(ns),
+        nu_limit=nu.measure,
+        c_seq=tuple(float(n) for n in ns),
+    )
+
+
 def bundled_instance(name: str, ns=None, seed: int = 0) -> ConvergenceInstance:
     """Construct one of the named demo instances.
 
@@ -377,28 +390,12 @@ def bundled_instance(name: str, ns=None, seed: int = 0) -> ConvergenceInstance:
         nu = SignedAtomSequence.from_atoms(
             _HORIZON, _ATOM_TIMES, _ATOM_MARKS, np.ones(_ATOM_TIMES.size, dtype=int)
         )
-        return ConvergenceInstance(
-            name=name,
-            ns=ns,
-            f_seq=(f0,) * len(ns),
-            f_limit=f0,
-            nu_seq=(nu,) * len(ns),
-            nu_limit=nu.measure,
-            c_seq=tuple(float(n) for n in ns),
-        )
+        return _constant_instance(name, ns, f0, nu)
 
     if name == "single-atom":
         f0 = _linear_drop_path(_HORIZON, 1.0, extra_times=[1.0])
         nu = SignedAtomSequence.from_atoms(_HORIZON, [1.0], [1.5], [1])
-        return ConvergenceInstance(
-            name=name,
-            ns=ns,
-            f_seq=(f0,) * len(ns),
-            f_limit=f0,
-            nu_seq=(nu,) * len(ns),
-            nu_limit=nu.measure,
-            c_seq=tuple(float(n) for n in ns),
-        )
+        return _constant_instance(name, ns, f0, nu)
 
     if name == "prm":
         # deferred import: limits builds on simulate, which this module skips
@@ -411,14 +408,6 @@ def bundled_instance(name: str, ns=None, seed: int = 0) -> ConvergenceInstance:
         # mixed-sign separation clauses would be seed-dependent here
         f0 = _linear_drop_path(_HORIZON, 1.0, extra_times=pm.times)
         nu = SignedAtomSequence(pm, np.ones(pm.count, dtype=int))
-        return ConvergenceInstance(
-            name=name,
-            ns=ns,
-            f_seq=(f0,) * len(ns),
-            f_limit=f0,
-            nu_seq=(nu,) * len(ns),
-            nu_limit=pm,
-            c_seq=tuple(float(n) for n in ns),
-        )
+        return _constant_instance(name, ns, f0, nu)
 
     raise ConfigurationError(f"unknown instance name: {name!r}")

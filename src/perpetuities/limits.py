@@ -181,7 +181,8 @@ def drift_marginal_cdf(x, u: float, c: float, a: float):
     xv = np.asarray(x, dtype=float)
     if np.any(np.isnan(xv) | (xv < 0)):
         raise ParameterError("x must be nonnegative, not NaN")
-    out = (xv / (xv + u)) ** (c / a)
+    with np.errstate(invalid="ignore"):  # inf / inf; np.where takes the limit 1
+        out = np.where(np.isinf(xv), 1.0, (xv / (xv + u)) ** (c / a))
     return out if out.ndim else float(out)
 
 
@@ -211,7 +212,8 @@ def drift_exceedance_intensity(x, u: float, c: float, a: float):
     xv = np.asarray(x, dtype=float)
     if np.any(np.isnan(xv) | (xv <= 0)):
         raise ParameterError("x must be positive, not NaN")
-    out = (c / a) * np.log((xv + u) / xv)
+    with np.errstate(invalid="ignore"):  # inf / inf; np.where takes the limit 0
+        out = np.where(np.isinf(xv), 0.0, (c / a) * np.log((xv + u) / xv))
     return out if out.ndim else float(out)
 
 

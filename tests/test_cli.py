@@ -8,7 +8,7 @@ import pytest
 import perpetuities.cli as cli
 import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
-from perpetuities.laws import draw_log_mq, preset_law
+from perpetuities.laws import classify_regime, draw_log_mq, preset_law
 from perpetuities.verify import (
     DEFAULT_D_BOUND,
     verify_forward_backward_equality,
@@ -75,7 +75,11 @@ class TestDomainChecks:
         ("simulate", "--n", "5", "--R", "-1"),
         ("limits", "path", "--R", "-2"),
         ("simulate", "--n", "5", "--R", "1", "--jobs", "-2"),
-    ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs"])
+        ("limits", "cdf", "--kind", "thm11", "--ca", "1", "--xs", "abc"),
+        ("theorem21", "--ns", "10,abc"),
+        ("verify", "--gamma", "0.1", "--n", "50", "--R", "100"),
+    ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
+            "verify-gamma"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
@@ -326,6 +330,17 @@ class TestClassifyCommand:
     def test_law_required(self, capsys):
         assert run(capsys, "classify")[0] == 1
 
+    def test_seed_drives_the_monte_carlo_evidence(self, capsys):
+        law = preset_law("cauchy")
+        mc = {}
+        for seed in (0, 5):
+            code, out, _ = run(capsys, "classify", "--law", "cauchy", "--seed", str(seed))
+            assert code == 0
+            mc[seed] = json.loads(out)["regime"]["mean_log_m_mc"]
+        assert mc[0] == classify_regime(law).mean_log_m_mc
+        assert mc[5] == classify_regime(law, rng=np.random.default_rng(5)).mean_log_m_mc
+        assert mc[5] != mc[0]
+
 
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):
@@ -348,6 +363,45 @@ class TestConfigFile:
         unknown.write_text(json.dumps({"frobnicate": 1}))
         assert run(capsys, "verify", "--config", str(unknown))[0] == 1
         assert run(capsys, "verify", "--config", str(tmp_path / "missing.json"))[0] == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"chain": "sideways"},
+        {"n": "abc"},
+        {"n": 2.7},
+        {"R": True},
+        {"config": "other.json"},
+    ], ids=["bad-choice", "not-a-number", "fractional-int", "bool-int", "config-key"])
+    def test_values_are_checked_as_flags(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--R", "1",
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and "unexpected" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc, flags", [
+        (("limits", "cdf"), {"kind": "thm11", "ca": 1, "xs": [0.5, 1, 2], "threshold": None},
+         ("--kind", "thm11", "--ca", "1", "--xs", "0.5,1,2")),
+        (("theorem21",), {"instance": "single-atom", "ns": [10, 20]},
+         ("--instance", "single-atom", "--ns", "10,20")),
+        (("limits", "path"), {"kind": "forward", "R": 2, "grid_step": 0.25},
+         ("--kind", "forward", "--R", "2", "--grid-step", "0.25")),
+        (("limits", "path"), {"kind": "forward", "R": 2, "grid-step": 0.25},
+         ("--kind", "forward", "--R", "2", "--grid-step", "0.25")),
+    ], ids=["list-xs-null", "list-ns", "grid_step", "grid-step"])
+    def test_file_runs_as_its_flags(self, capsys, tmp_path, command, doc, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        a, b = tmp_path / "a", tmp_path / "b"
+        from_file = run(capsys, *command, "--config", str(cfg), "--out", str(a))
+        from_flags = run(capsys, *command, *flags, "--out", str(b))
+        assert from_file[0] == 0 and from_file == from_flags
+        names = sorted(p.name for p in b.iterdir())
+        assert names and names == sorted(p.name for p in a.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestDeterminism:

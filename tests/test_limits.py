@@ -314,3 +314,15 @@ class TestClosedForms:
                 peak_marginal_cdf(x, 1.0, 0.5)
             with pytest.raises(ParameterError):
                 drift_exceedance_intensity(x, 1.0, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_point_gives_the_limit(self):
+        # x / (x + u) is inf / inf at x = inf; the functions return the
+        # limits 1 and 0, with no NaN and no RuntimeWarning
+        assert drift_marginal_cdf(math.inf, 2.0, 1.5, 0.5) == 1.0
+        assert drift_exceedance_intensity(math.inf, 2.0, 1.5, 0.5) == 0.0
+        xs = np.array([1.0, math.inf])
+        np.testing.assert_array_equal(drift_marginal_cdf(xs, 1.0, 1.0, 1.0), [0.5, 1.0])
+        np.testing.assert_array_equal(
+            drift_exceedance_intensity(xs, 1.0, 1.0, 1.0), [math.log(2.0), 0.0]
+        )
