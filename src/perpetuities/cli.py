@@ -73,15 +73,22 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+# any other error makes argparse name the type function in its message
 def _at_least_one(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _finite_floats(text):
-    vals = [float(s) for s in text.split(",") if s.strip()]
+    try:
+        vals = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        vals = []
     if not vals or not all(math.isfinite(v) for v in vals):
         raise argparse.ArgumentTypeError(f"must list finite values, got {text!r}")
     return vals

@@ -31,6 +31,8 @@ FAIL = "FAIL"
 UNDECIDABLE = "UNDECIDABLE-ON-FINITE-DATA"
 
 LEVEL_TOL = 1e-12
+PARTITION_CELLS = 4
+GROWTH_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -180,13 +182,7 @@ def _trend_status(seq, label):
     return FAIL, f"{label}: no decay, values {np.round(vals, 6).tolist()}"
 
 
-def check_conditions(
-    inst: ConvergenceInstance,
-    T: float,
-    gamma: float,
-    partition_cells: int = 4,
-    growth_threshold: float = 0.2,
-) -> ConditionReport:
+def check_conditions(inst: ConvergenceInstance, T: float, gamma: float) -> ConditionReport:
     """Score the finite instance against the convergence hypotheses.
 
     Each hypothesis gets PASS, FAIL, or UNDECIDABLE-ON-FINITE-DATA; the
@@ -207,10 +203,10 @@ def check_conditions(
     if t0.size and t0[0] == 0.0:
         results.append(ConditionResult("support-charged", FAIL, "atom at time zero"))
     else:
-        edges = np.linspace(0.0, T, partition_cells + 1)
+        edges = np.linspace(0.0, T, PARTITION_CELLS + 1)
         hit = [bool(np.any((t0 > lo) & (t0 < hi))) for lo, hi in zip(edges, edges[1:])]
         if all(hit):
-            detail = f"all {partition_cells} cells of (0, {T}) charged"
+            detail = f"all {PARTITION_CELLS} cells of (0, {T}) charged"
             results.append(ConditionResult("support-charged", PASS, detail))
         else:
             empty = int(sum(1 for h in hit if not h))
@@ -250,11 +246,11 @@ def check_conditions(
     ratios = [np.log(max(cnt, 1)) / c for cnt, c in zip(counts, inst.c_seq)]
     if len(ratios) < 2:
         results.append(ConditionResult("count-growth", UNDECIDABLE, "fewer than two stages"))
-    elif ratios[-1] <= growth_threshold and ratios[-1] <= ratios[0] + 1e-12:
+    elif ratios[-1] <= GROWTH_THRESHOLD and ratios[-1] <= ratios[0] + 1e-12:
         detail = f"log-count ratio {ratios[0]:.3g} -> {ratios[-1]:.3g}"
         results.append(ConditionResult("count-growth", PASS, detail))
     else:
-        detail = f"log-count ratio ends at {ratios[-1]:.3g} (threshold {growth_threshold})"
+        detail = f"log-count ratio ends at {ratios[-1]:.3g} (threshold {GROWTH_THRESHOLD})"
         results.append(ConditionResult("count-growth", FAIL, detail))
 
     # stage paths approach the limit path
@@ -287,12 +283,7 @@ def default_gamma(measure: PointMeasure) -> float:
     return float(marks[0] / 2.0 if marks.size == 1 else (marks[0] + marks[1]) / 2.0)
 
 
-def convergence_demo(
-    inst: ConvergenceInstance,
-    T: float,
-    gamma: float | None = None,
-    **check_kwargs,
-):
+def convergence_demo(inst: ConvergenceInstance, T: float, gamma: float | None = None):
     """Decay table (n, c_n, d_n) of distances to the limiting record path.
 
     Refuses to run when any hypothesis scores FAIL.  The default gamma
@@ -301,7 +292,7 @@ def convergence_demo(
     """
     if gamma is None:
         gamma = default_gamma(inst.nu_limit)
-    report = check_conditions(inst, T, gamma, **check_kwargs)
+    report = check_conditions(inst, T, gamma)
     if report.has_fail:
         bad = ", ".join(r.name for r in report.results if r.status == FAIL)
         raise ConfigurationError(f"hypotheses failed for {inst.name}: {bad}")

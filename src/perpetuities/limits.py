@@ -89,25 +89,16 @@ def _atom_scores(kind: LimitKind, times, marks):
     return marks
 
 
-def extremal_path(
-    pm: PointMeasure,
-    kind: LimitKind,
-    horizon: float | None = None,
-    grid_step: float | None = None,
-) -> StepPath:
+def extremal_path(pm: PointMeasure, kind: LimitKind, grid_step: float | None = None) -> StepPath:
     """Limit path of the given kind built from one atom configuration.
 
     BACKWARD and PEAK paths are genuinely piecewise constant with jumps
     at the atom times.  The FORWARD path has slope -1 between atoms, so
     it is emitted as its samples on the merged grid of atom times and a
-    regular grid of step ``grid_step`` (default ``horizon / 10**4``);
+    regular grid of step ``grid_step`` (default ``pm.horizon / 10**4``);
     the step used is recorded in the path metadata.
     """
-    T = pm.horizon if horizon is None else float(horizon)
-    if not (np.isfinite(T) and T > 0):
-        raise ParameterError(f"horizon must be positive and finite, got {T}")
-    if pm.count and pm.times[-1] > T:
-        raise ParameterError("atoms must lie inside [0, horizon]")
+    T = pm.horizon
     if not isinstance(kind, LimitKind):
         raise ParameterError(f"unknown limit kind: {kind!r}")
 

@@ -17,7 +17,6 @@ mismatch.  The optimum is always one of the finitely many candidate costs
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +32,6 @@ __all__ = [
     "j1_distance",
     "point_match_distance",
     "restrict_path",
-    "write_step_path_csv",
-    "read_step_path_csv",
-    "write_point_measure_csv",
-    "read_point_measure_csv",
 ]
 
 
@@ -83,9 +78,6 @@ class StepPath:
             raise ParameterError("evaluation time outside [0, horizon]")
         idx = np.searchsorted(self.times, ts, side="right")
         return self.values[idx]
-
-    def __call__(self, t: float) -> float:
-        return self.value_at(t)
 
 
 @dataclass(frozen=True)
@@ -253,58 +245,3 @@ def _collapse_running(horizon, times, running, init, meta) -> StepPath:
         init = jump_v[0]
         jump_t, jump_v = jump_t[1:], jump_v[1:]
     return StepPath(horizon, jump_t, np.concatenate([[init], jump_v]), meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# CSV round-trips.  The horizon travels in a comment header so a file is
-# self-describing; floats are written with repr for exact round-trips.
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_step_path_csv(path: StepPath, fp: io.TextIOBase):
-    fp.write(f"# horizon={_fmt(path.horizon)}\n")
-    fp.write("t,value\n")
-    fp.write(f"{_fmt(0.0)},{_fmt(path.values[0])}\n")
-    for t, v in zip(path.times, path.values[1:]):
-        fp.write(f"{_fmt(t)},{_fmt(v)}\n")
-
-
-def _read_csv(fp: io.TextIOBase):
-    # horizon from the "# horizon=" header, data rows as an (n, 2) array
-    horizon = None
-    rows = []
-    for line in fp:
-        line = line.strip()
-        if not line or line.startswith("t,"):
-            continue
-        if line.startswith("#"):
-            key, _, val = line.lstrip("# ").partition("=")
-            if key.strip() == "horizon":
-                horizon = float(val)
-            continue
-        t_s, v_s = line.split(",")
-        rows.append((float(t_s), float(v_s)))
-    if horizon is None:
-        raise ParameterError("missing horizon header")
-    return horizon, np.array(rows, dtype=float).reshape(-1, 2)
-
-
-def read_step_path_csv(fp: io.TextIOBase) -> StepPath:
-    horizon, rows = _read_csv(fp)
-    if not rows.size or rows[0, 0] != 0.0:
-        raise ParameterError("first row must give the value at t=0")
-    return StepPath(horizon, rows[1:, 0], rows[:, 1])
-
-
-def write_point_measure_csv(nu: PointMeasure, fp: io.TextIOBase):
-    fp.write(f"# horizon={_fmt(nu.horizon)}\n")
-    fp.write("t,y\n")
-    for t, y in zip(nu.times, nu.marks):
-        fp.write(f"{_fmt(t)},{_fmt(y)}\n")
-
-
-def read_point_measure_csv(fp: io.TextIOBase) -> PointMeasure:
-    horizon, rows = _read_csv(fp)
-    return PointMeasure(horizon, rows[:, 0], rows[:, 1])

@@ -189,6 +189,12 @@ def two_sample_threshold(
     return float(kolmogi(level)) * math.sqrt(ratio)
 
 
+# report columns in file order with their types; "pass" is D <= threshold
+_REPORT_COLUMNS = (("tag", str), ("n", int), ("R", int), ("u", float), ("D", float),
+                   ("threshold", float), ("pass", bool), ("degenerate", int),
+                   ("seed", int), ("detail", str))
+
+
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
     """One completed distribution check, threshold included."""
@@ -199,7 +205,6 @@ class VerificationReport:
     u: float
     D: float
     threshold: float
-    passed: bool
     degenerate: int
     seed: int
     detail: str = ""
@@ -211,39 +216,29 @@ class VerificationReport:
             raise ParameterError(f"KS statistic must lie in [0, 1], got {self.D}")
         if not (np.isfinite(self.threshold) and self.threshold > 0):
             raise ParameterError(f"threshold must be positive, got {self.threshold}")
-        if self.passed != (self.D <= self.threshold):
-            raise ParameterError("pass flag must equal (D <= threshold)")
         if self.degenerate < 0 or self.R <= 0:
             raise ParameterError("counts must be nonnegative with R positive")
 
+    @property
+    def passed(self) -> bool:
+        return self.D <= self.threshold
+
     def to_dict(self) -> dict:
         return {
-            "tag": self.tag,
-            "n": int(self.n),
-            "R": int(self.R),
-            "u": float(self.u),
-            "D": float(self.D),
-            "threshold": float(self.threshold),
-            "pass": bool(self.passed),
-            "degenerate": int(self.degenerate),
-            "seed": int(self.seed),
-            "detail": self.detail,
+            key: kind(self.passed if key == "pass" else getattr(self, key))
+            for key, kind in _REPORT_COLUMNS
         }
 
 
 def report_from_dict(d: dict) -> VerificationReport:
-    return VerificationReport(
-        tag=str(d["tag"]),
-        n=int(d["n"]),
-        R=int(d["R"]),
-        u=float(d["u"]),
-        D=float(d["D"]),
-        threshold=float(d["threshold"]),
-        passed=bool(d["pass"]),
-        degenerate=int(d["degenerate"]),
-        seed=int(d["seed"]),
-        detail=str(d.get("detail", "")),
-    )
+    """Rebuild a report from ``to_dict`` output; its pass flag is checked."""
+    d = {"detail": "", **d}
+    values = {key: kind(d[key]) for key, kind in _REPORT_COLUMNS}
+    passed = values.pop("pass")
+    report = VerificationReport(**values)
+    if passed != report.passed:
+        raise ParameterError("pass flag must equal (D <= threshold)")
+    return report
 
 
 def write_reports_json(reports, fp, config: dict | None = None) -> None:
@@ -258,11 +253,9 @@ def write_reports_csv(reports, fp, config: dict | None = None) -> None:
     if config is not None:
         fp.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
     writer = csv.writer(fp, lineterminator="\n")
-    cols = ["tag", "n", "R", "u", "D", "threshold", "pass", "degenerate", "seed", "detail"]
-    writer.writerow(cols)
+    writer.writerow(key for key, _ in _REPORT_COLUMNS)
     for r in reports:
-        d = r.to_dict()
-        writer.writerow([d[c] for c in cols])
+        writer.writerow(r.to_dict().values())
 
 
 def _checked_counts(n: int, u: float, R: int):
@@ -296,7 +289,6 @@ def verify_marginal(
     seed: int,
     threshold: float = DEFAULT_D_BOUND,
     source: str = "simulation",
-    gamma: float = DEFAULT_LIMIT_GAMMA,
     jobs: int = 1,
 ) -> VerificationReport:
     """One-sample KS check of a scaled time-u marginal against its limit law.
@@ -328,7 +320,7 @@ def verify_marginal(
             values, flags = pakes_values(law.a, law, n, R, seed, jobs=jobs)
         values = values / rule.scale(law, n)
     elif source == "limit":
-        spec = rule.limit_spec(law, u, gamma, seed)
+        spec = rule.limit_spec(law, u, DEFAULT_LIMIT_GAMMA, seed)
         values = limit_marginal_values(rule.kind, spec, R, u=u, jobs=jobs)
         flags = np.zeros(R, dtype=np.int64)
     else:
@@ -344,7 +336,6 @@ def verify_marginal(
         u=u,
         D=D,
         threshold=float(threshold),
-        passed=D <= threshold,
         degenerate=degenerate,
         seed=int(seed),
         detail=f"source={source} family={law.family}",
@@ -357,21 +348,15 @@ def verify_forward_backward_equality(
     u: float,
     R: int,
     seed: int,
-    x0: float = 0.0,
-    level: float = DEFAULT_TWO_SAMPLE_LEVEL,
     threshold: float | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
     """Two-sample KS check that both chains share one fixed-n marginal.
 
-    The agreement in law needs the forward chain started at zero, so any
-    other x0 is refused. The two sides use disjoint replication streams;
+    The forward chain starts at zero, the only start at which the two
+    agree in law. The two sides use disjoint replication streams;
     equal streams would make the check vacuously tight.
     """
-    if x0 != 0.0:
-        raise ConfigurationError(
-            f"the fixed-n equality in law requires x0 = 0, got {x0}"
-        )
     n, u, R = _checked_counts(n, u, R)
     fwd, fwd_flags = forward_marginal_values(law, n, u, R, seed, x0=0.0, jobs=jobs)
     bwd, bwd_flags = backward_marginal_values(
@@ -380,7 +365,7 @@ def verify_forward_backward_equality(
     fwd_good, fwd_bad = _screen_degenerate("forward side", fwd, fwd_flags, R)
     bwd_good, bwd_bad = _screen_degenerate("backward side", bwd, bwd_flags, R)
     if threshold is None:
-        threshold = two_sample_threshold(fwd_good.size, bwd_good.size, level)
+        threshold = two_sample_threshold(fwd_good.size, bwd_good.size)
     D = two_sample_ks(fwd_good, bwd_good)
     return VerificationReport(
         tag="ForwardBackwardEquality",
@@ -389,7 +374,6 @@ def verify_forward_backward_equality(
         u=u,
         D=D,
         threshold=float(threshold),
-        passed=D <= threshold,
         degenerate=fwd_bad + bwd_bad,
         seed=int(seed),
         detail=f"family={law.family}",
@@ -412,9 +396,7 @@ def verify_functional_sup(
     T: float,
     R: int,
     seed: int,
-    level: float = DEFAULT_TWO_SAMPLE_LEVEL,
     threshold: float | None = None,
-    gamma: float = DEFAULT_LIMIT_GAMMA,
     limit_law: CoefficientLaw | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
@@ -441,7 +423,7 @@ def verify_functional_sup(
 
     reference = law if limit_law is None else limit_law
     rule.check_family(reference)
-    spec = rule.limit_spec(reference, T, gamma, seed)
+    spec = rule.limit_spec(reference, T, DEFAULT_LIMIT_GAMMA, seed)
     if rule.kind is LimitKind.FORWARD:
         lim = np.empty(R)
         for r in range(R):
@@ -451,7 +433,7 @@ def verify_functional_sup(
         # supremum over [0, T] is just the endpoint marginal
         lim = limit_marginal_values(rule.kind, spec, R, u=T, rep_start=R, jobs=jobs)
     if threshold is None:
-        threshold = two_sample_threshold(sim_good.size, lim.size, level)
+        threshold = two_sample_threshold(sim_good.size, lim.size)
     D = two_sample_ks(sim_good, lim)
     return VerificationReport(
         tag="FunctionalSup",
@@ -460,7 +442,6 @@ def verify_functional_sup(
         u=T,
         D=D,
         threshold=float(threshold),
-        passed=D <= threshold,
         degenerate=degenerate,
         seed=int(seed),
         detail=f"variant={tag} family={law.family}",

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,12 +79,15 @@ class TestDomainChecks:
         ("limits", "cdf", "--kind", "thm11", "--ca", "1", "--xs", "abc"),
         ("theorem21", "--ns", "10,abc"),
         ("verify", "--gamma", "0.1", "--n", "50", "--R", "100"),
+        ("verify", "--R", "abc"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
-            "verify-gamma"])
+            "verify-gamma", "R-abc"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
         assert err.startswith("error:") and "unexpected" not in err
+        # the message speaks of the value, not of a private function
+        assert re.search(r"\b_\w", err) is None, err
         assert not any(tmp_path.iterdir())
 
 

@@ -129,8 +129,6 @@ class TestExtremalPath:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            extremal_path(TWO_ATOMS, LimitKind.BACKWARD, horizon=0.5)
-        with pytest.raises(ParameterError):
             extremal_path(TWO_ATOMS, LimitKind.BACKWARD, grid_step=0.1)
         with pytest.raises(ParameterError):
             extremal_path(TWO_ATOMS, "backward")

@@ -1,6 +1,5 @@
 """Tests for step paths, point measures, and the path metrics."""
 
-import io
 import itertools
 
 import numpy as np
@@ -12,12 +11,8 @@ from perpetuities.paths import (
     StepPath,
     j1_distance,
     point_match_distance,
-    read_point_measure_csv,
-    read_step_path_csv,
     restrict_path,
     uniform_distance,
-    write_point_measure_csv,
-    write_step_path_csv,
 )
 
 
@@ -235,6 +230,11 @@ class TestPointMeasure:
         with pytest.raises(ParameterError):
             PointMeasure(1.0, [0.5], [0.0])
 
+    def test_rejects_atoms_outside_horizon(self):
+        for t in (-0.1, 1.5):
+            with pytest.raises(ParameterError):
+                PointMeasure(1.0, [0.5, t], [1.0, 1.0])
+
     def test_restrict(self):
         nu = PointMeasure(1.0, [0.1, 0.4, 0.8], [0.5, 2.0, 1.5])
         r = nu.restrict(1.0)
@@ -278,32 +278,3 @@ class TestPointMatchDistance:
         nu1 = PointMeasure(1.0, [0.1, 0.6], [3.0, 0.2])
         nu2 = PointMeasure(1.0, [0.12], [3.1])
         np.testing.assert_allclose(point_match_distance(nu1, nu2, 0.5), 0.12)
-
-
-class TestCsvRoundTrip:
-    def test_step_path(self):
-        rng = np.random.default_rng(41)
-        p = random_path(rng, horizon=2.5, n_jumps=7)
-        buf = io.StringIO()
-        write_step_path_csv(p, buf)
-        buf.seek(0)
-        q = read_step_path_csv(buf)
-        assert q.horizon == p.horizon
-        np.testing.assert_array_equal(q.times, p.times)
-        np.testing.assert_array_equal(q.values, p.values)
-
-    def test_point_measure(self):
-        rng = np.random.default_rng(43)
-        nu = PointMeasure(3.0, rng.uniform(0, 3, 5), rng.uniform(0.1, 4, 5))
-        buf = io.StringIO()
-        write_point_measure_csv(nu, buf)
-        buf.seek(0)
-        mu = read_point_measure_csv(buf)
-        assert mu.horizon == nu.horizon
-        np.testing.assert_array_equal(mu.times, nu.times)
-        np.testing.assert_array_equal(mu.marks, nu.marks)
-
-    def test_missing_horizon_header_rejected(self):
-        for reader in (read_step_path_csv, read_point_measure_csv):
-            with pytest.raises(ParameterError):
-                reader(io.StringIO("t,value\n0.0,1.0\n"))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import kolmogi
 
@@ -130,7 +132,6 @@ class TestReportObject:
             u=1.0,
             D=0.03,
             threshold=0.05,
-            passed=True,
             degenerate=0,
             seed=7,
         )
@@ -141,20 +142,34 @@ class TestReportObject:
         rep = self.make(detail="family=CauchyTail")
         assert report_from_dict(rep.to_dict()) == rep
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        D=st.floats(0.0, 1.0),
+        threshold=st.none() | st.floats(min_value=1e-9, max_value=2.0),
+    )
+    def test_dict_pass_flag(self, D, threshold):
+        # None draws the tie D == threshold, which passes
+        threshold = D if threshold is None else threshold
+        assume(threshold > 0)
+        rep = self.make(D=D, threshold=threshold)
+        d = rep.to_dict()
+        assert report_from_dict(d) == rep
+        assert d["pass"] is (D <= threshold)
+        with pytest.raises(ParameterError):
+            report_from_dict({**d, "pass": not d["pass"]})
+
     def test_invariants(self):
         with pytest.raises(ParameterError):
             self.make(tag="Thm99")
         with pytest.raises(ParameterError):
             self.make(D=1.5)
         with pytest.raises(ParameterError):
-            self.make(passed=False)
-        with pytest.raises(ParameterError):
             self.make(threshold=0.0)
         with pytest.raises(ParameterError):
             self.make(R=0)
 
     def test_csv_and_json_writers(self):
-        reports = [self.make(), self.make(tag="FunctionalSup", D=0.06, passed=False)]
+        reports = [self.make(), self.make(tag="FunctionalSup", D=0.06)]
         buf = io.StringIO()
         write_reports_csv(reports, buf, config={"seed": 7})
         lines = buf.getvalue().splitlines()
@@ -287,10 +302,6 @@ class TestForwardBackwardEquality:
         fwd, _ = forward_marginal_values(CAUCHY, 300, 1.0, 150, seed=21, x0=0.0)
         bwd, _ = backward_marginal_values(CAUCHY, 300, 1.0, 150, seed=21, rep_start=150)
         assert rep.D == two_sample_ks(fwd, bwd)
-
-    def test_nonzero_start_refused(self):
-        with pytest.raises(ConfigurationError):
-            verify_forward_backward_equality(CAUCHY, 500, 1.0, 200, seed=1, x0=2.0)
 
     def test_all_degenerate(self):
         law = preset_law("degenerate", m0=-1.0, q0=1.0)
