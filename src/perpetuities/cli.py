@@ -343,6 +343,11 @@ def _cmd_verify(args) -> int:
             if args.variant is not None
             else (fallback[0] if fallback else None)
         )
+        if tag == "FunctionalSup" and variant is None:
+            raise ConfigurationError(
+                f"no marginal tag covers family {law.family}; "
+                "FunctionalSup needs --variant"
+            )
     T = args.u if args.T is None else args.T
 
     if tag is not None:

@@ -43,7 +43,6 @@ __all__ = [
     "compute_bn",
     "stability_integral_truncated",
     "classify_regime",
-    "default_truncation_levels",
     "preset_law",
     "PRESET_NAMES",
     "law_to_dict",
@@ -306,9 +305,12 @@ def stability_integral_truncated(law: CoefficientLaw, level: float) -> float:
     return float(val)
 
 
-def default_truncation_levels():
-    """Geometric ladder e^1 .. e^21 in the log|Q| scale."""
-    return [math.exp(k) for k in range(1, 22)]
+# evidence behind classify_regime: Monte Carlo draws of log|M|, the
+# geometric ladder e^1 .. e^21 of log|Q| truncation levels, and the growth
+# ratio of the truncated integrals above which it is called divergent
+MC_SAMPLES = 10_000
+TRUNCATION_LEVELS = tuple(math.exp(k) for k in range(1, 22))
+RATIO_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -321,16 +323,10 @@ class Regime:
     truncation_levels: tuple = field(default_factory=tuple)
     integral_estimates: tuple = field(default_factory=tuple)
     growth_ratio: float = float("nan")
-    ratio_threshold: float = 10.0
+    ratio_threshold: float = RATIO_THRESHOLD
 
 
-def classify_regime(
-    law: CoefficientLaw,
-    mc_samples: int = 10_000,
-    truncation_levels=None,
-    rng=None,
-    ratio_threshold: float = 10.0,
-) -> Regime:
+def classify_regime(law: CoefficientLaw, rng=None) -> Regime:
     """Decide among NonContractive / DivergentContractive / ConvergentPerpetuity.
 
     Contractivity comes from the exact E log|M| (Monte Carlo shown as
@@ -338,25 +334,18 @@ def classify_regime(
     growth of its truncated values across the level ladder: divergent
     integrals keep growing, convergent ones level off.
     """
-    if mc_samples < 1000:
-        raise ParameterError("mc_samples must be at least 1000")
-    levels = list(default_truncation_levels() if truncation_levels is None else truncation_levels)
-    if len(levels) < 2 or np.any(np.diff(levels) <= 0):
-        raise ParameterError("need at least two strictly increasing truncation levels")
     if rng is None:
         rng = np.random.default_rng(0)
     drift = mean_log_m(law)
-    _, log_m, _, _ = draw_log_mq(law, rng, mc_samples)
+    _, log_m, _, _ = draw_log_mq(law, rng, MC_SAMPLES)
     drift_mc = float(np.mean(log_m))
     if drift >= 0:
-        return Regime("NonContractive", drift, drift_mc, tuple(levels), (),
-                      ratio_threshold=ratio_threshold)
-    estimates = [stability_integral_truncated(law, lev) for lev in levels]
+        return Regime("NonContractive", drift, drift_mc, TRUNCATION_LEVELS, ())
+    estimates = [stability_integral_truncated(law, lev) for lev in TRUNCATION_LEVELS]
     first = next((e for e in estimates if e > 0), 0.0)
     ratio = estimates[-1] / first if first > 0 else 1.0
-    tag = "DivergentContractive" if ratio > ratio_threshold else "ConvergentPerpetuity"
-    return Regime(tag, drift, drift_mc, tuple(levels), tuple(estimates),
-                  ratio, ratio_threshold)
+    tag = "DivergentContractive" if ratio > RATIO_THRESHOLD else "ConvergentPerpetuity"
+    return Regime(tag, drift, drift_mc, TRUNCATION_LEVELS, tuple(estimates), ratio)
 
 
 # ---------------------------------------------------------------------------

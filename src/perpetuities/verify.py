@@ -25,8 +25,9 @@ from .limits import (
     drift_marginal_cdf,
     limit_marginal_values,
     peak_marginal_cdf,
-    sample_prm,
 )
+# unused here, kept importable for the hook of bench/tracing.py
+from .limits import sample_prm  # noqa: F401
 from .simulate import (
     backward_marginal_values,
     backward_sup_values,
@@ -69,10 +70,9 @@ class TagRule:
     def scale(self, law: CoefficientLaw, n: int) -> float:
         return law.a * n if self.drift else compute_bn(law, n)
 
-    def limit_spec(self, law: CoefficientLaw, T: float, gamma: float, seed) -> PrmSpec:
-        if self.drift:
-            return PrmSpec(c=law.c / law.a, alpha=1.0, T=T, gamma=gamma, seed=seed)
-        return PrmSpec(c=1.0, alpha=law.alpha, T=T, gamma=gamma, seed=seed)
+    def limit_spec(self, law: CoefficientLaw, T: float, seed) -> PrmSpec:
+        c, alpha = (law.c / law.a, 1.0) if self.drift else (1.0, law.alpha)
+        return PrmSpec(c=c, alpha=alpha, T=T, gamma=DEFAULT_LIMIT_GAMMA, seed=seed)
 
     def limit_cdf(self, law: CoefficientLaw, u: float):
         # finite-n samples can land below the limit support, where the
@@ -288,15 +288,13 @@ def verify_marginal(
     R: int,
     seed: int,
     threshold: float = DEFAULT_D_BOUND,
-    source: str = "simulation",
     jobs: int = 1,
 ) -> VerificationReport:
     """One-sample KS check of a scaled time-u marginal against its limit law.
 
-    ``source='simulation'`` scales the corresponding chain (or decayed
-    sum) at index [nu]+1; ``source='limit'`` draws the same marginal from
-    the truncated limit construction instead, which turns the check into
-    a self-consistency test of the closed form.
+    The sample is the corresponding chain (or decayed sum) at index
+    [nu]+1, scaled by ``a n`` in the drift regime and ``b_n`` in the peak
+    regime; degenerate replications are dropped before the test.
     """
     tag = canonical_tag(tag)
     rule = TAG_RULES.get(tag)
@@ -309,24 +307,13 @@ def verify_marginal(
             f"{tag} checks the n-th indexed sum; its limit has no time "
             f"parameter, so u must be 1, got {u}"
         )
-    if source == "simulation":
-        if rule.chain == "backward":
-            values, flags = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
-        elif rule.chain == "forward":
-            values, flags = forward_marginal_values(
-                law, n, u, R, seed, x0=0.0, jobs=jobs
-            )
-        else:
-            values, flags = pakes_values(law.a, law, n, R, seed, jobs=jobs)
-        values = values / rule.scale(law, n)
-    elif source == "limit":
-        spec = rule.limit_spec(law, u, DEFAULT_LIMIT_GAMMA, seed)
-        values = limit_marginal_values(rule.kind, spec, R, u=u, jobs=jobs)
-        flags = np.zeros(R, dtype=np.int64)
+    if rule.chain == "backward":
+        values, flags = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
+    elif rule.chain == "forward":
+        values, flags = forward_marginal_values(law, n, u, R, seed, x0=0.0, jobs=jobs)
     else:
-        raise ConfigurationError(
-            f"source must be 'simulation' or 'limit', got {source!r}"
-        )
+        values, flags = pakes_values(law.a, law, n, R, seed, jobs=jobs)
+    values = values / rule.scale(law, n)
     samples, degenerate = _screen_degenerate(tag, values, flags, R)
     D = ks_statistic(samples, rule.limit_cdf(law, u))
     return VerificationReport(
@@ -338,7 +325,7 @@ def verify_marginal(
         threshold=float(threshold),
         degenerate=degenerate,
         seed=int(seed),
-        detail=f"source={source} family={law.family}",
+        detail=f"source=simulation family={law.family}",
     )
 
 
@@ -380,15 +367,6 @@ def verify_forward_backward_equality(
     )
 
 
-def _forward_limit_sup(pm) -> float:
-    # the forward limit declines at unit rate between atoms, so its
-    # supremum is attained at time zero or right at an atom time
-    if pm.count == 0:
-        return 0.0
-    record = np.maximum.accumulate(pm.times + pm.marks)
-    return float(max(0.0, np.max(record - pm.times)))
-
-
 def verify_functional_sup(
     tag,
     law: CoefficientLaw,
@@ -397,16 +375,15 @@ def verify_functional_sup(
     R: int,
     seed: int,
     threshold: float | None = None,
-    limit_law: CoefficientLaw | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
     """Two-sample KS check of path suprema over [0, T].
 
     One sample is the sup of the scaled simulated path per replication;
-    the other is the sup of an independently sampled limit path.
-    ``limit_law`` substitutes a different law on the limit side only,
-    which is useful for demonstrating sensitivity; by default both sides
-    use ``law``.
+    the other is the sup over [0, T] of an independently sampled limit
+    path (replication streams R..2R-1), read as the endpoint value for
+    the backward and peak kinds and as the largest mark up to T for the
+    forward kind.
     """
     tag = canonical_tag(tag)
     rule = TAG_RULES.get(tag)
@@ -420,18 +397,10 @@ def verify_functional_sup(
         values, flags = forward_sup_values(law, n, T, R, seed, x0=0.0, jobs=jobs)
     sim = values / rule.scale(law, n)
     sim_good, degenerate = _screen_degenerate(tag, sim, flags, R)
-
-    reference = law if limit_law is None else limit_law
-    rule.check_family(reference)
-    spec = rule.limit_spec(reference, T, DEFAULT_LIMIT_GAMMA, seed)
-    if rule.kind is LimitKind.FORWARD:
-        lim = np.empty(R)
-        for r in range(R):
-            lim[r] = _forward_limit_sup(sample_prm(spec, rep=R + r))
-    else:
-        # the backward and peak limit paths are nondecreasing, so the
-        # supremum over [0, T] is just the endpoint marginal
-        lim = limit_marginal_values(rule.kind, spec, R, u=T, rep_start=R, jobs=jobs)
+    # the backward and peak paths never decrease; the forward path's sup is its largest mark
+    kind = LimitKind.PEAK if rule.kind is LimitKind.FORWARD else rule.kind
+    spec = rule.limit_spec(law, T, seed)
+    lim = limit_marginal_values(kind, spec, R, u=T, rep_start=R, jobs=jobs)
     if threshold is None:
         threshold = two_sample_threshold(sim_good.size, lim.size)
     D = two_sample_ks(sim_good, lim)

@@ -80,8 +80,10 @@ class TestDomainChecks:
         ("theorem21", "--ns", "10,abc"),
         ("verify", "--gamma", "0.1", "--n", "50", "--R", "100"),
         ("verify", "--R", "abc"),
+        ("verify", "--theorem", "functionalsup", "--law", "convergent", "--n", "50",
+         "--R", "100"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
-            "verify-gamma", "R-abc"])
+            "verify-gamma", "R-abc", "functionalsup-no-variant"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""

@@ -17,11 +17,11 @@ from perpetuities.errors import (
 )
 from perpetuities import laws
 from perpetuities.laws import (
+    TRUNCATION_LEVELS,
     CoefficientLaw,
     classify_regime,
     compute_A,
     compute_bn,
-    default_truncation_levels,
     draw_log_mq,
     law_from_dict,
     law_to_dict,
@@ -314,13 +314,13 @@ class TestComputeBn:
 class TestStabilityIntegral:
     def test_cauchy_grows_logarithmically(self):
         law = preset_law("cauchy")
-        vals = [stability_integral_truncated(law, lev) for lev in default_truncation_levels()]
+        vals = [stability_integral_truncated(law, lev) for lev in TRUNCATION_LEVELS]
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] / vals[0] > 10
 
     def test_convergent_levels_off(self):
         law = preset_law("convergent")
-        vals = [stability_integral_truncated(law, lev) for lev in default_truncation_levels()]
+        vals = [stability_integral_truncated(law, lev) for lev in TRUNCATION_LEVELS]
         assert vals[-1] / vals[0] < 3
         assert vals[-1] - vals[-2] < 1e-8
 
@@ -367,12 +367,6 @@ class TestClassifyRegime:
     def test_noncontractive_skips_integral(self):
         r = classify_regime(preset_law("expanding"))
         assert r.integral_estimates == ()
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            classify_regime(preset_law("cauchy"), mc_samples=10)
-        with pytest.raises(ParameterError):
-            classify_regime(preset_law("cauchy"), truncation_levels=[5.0, 5.0])
 
 
 class TestConfigSchema:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.stats import ks_2samp, kstest
 
 from perpetuities.errors import ParameterError
+from perpetuities.laws import preset_law
 from perpetuities.limits import (
     LimitKind,
     PrmSpec,
@@ -19,6 +22,7 @@ from perpetuities.limits import (
     sample_prm,
 )
 from perpetuities.paths import PointMeasure
+from perpetuities.verify import TAG_RULES, ks_statistic, ks_threshold, verify_functional_sup
 
 TWO_ATOMS = PointMeasure(3.0, [1.0, 2.0], [3.0, 1.0])
 
@@ -170,12 +174,37 @@ class TestMarginalSampler:
         v1 = limit_marginal_values(LimitKind.BACKWARD, spec, 33, jobs=1)
         v3 = limit_marginal_values(LimitKind.BACKWARD, spec, 33, jobs=3)
         np.testing.assert_array_equal(v1, v3)
+        # the forward sup check draws its limit side on the same thread split
+        law = preset_law("cauchy")
+        r1 = verify_functional_sup("thm11-forward", law, 50, 1.0, 100, seed=35, jobs=1)
+        r3 = verify_functional_sup("thm11-forward", law, 50, 1.0, 100, seed=35, jobs=3)
+        assert r1 == r3
 
     def test_rep_start_shifts_streams(self):
         spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.1, seed=35)
         v = limit_marginal_values(LimitKind.PEAK, spec, 12)
         w = limit_marginal_values(LimitKind.PEAK, spec, 7, rep_start=5)
         np.testing.assert_array_equal(v[5:], w)
+
+    # T / gamma <= 10 keeps the rounding of (t + j) - t within 1e-14 of j
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.floats(0.2, 3.0),
+        alpha=st.floats(0.3, 1.0),
+        T=st.floats(0.2, 2.0),
+        gamma=st.floats(0.2, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_peak_endpoint_is_forward_sup(self, c, alpha, T, gamma, seed):
+        # the forward path falls at unit rate between atoms, so its sup
+        # over [0, T] is its largest mark, the PEAK value at T
+        spec = PrmSpec(c=c, alpha=alpha, T=T, gamma=gamma, seed=seed)
+        peak = limit_marginal_values(LimitKind.PEAK, spec, 5, u=spec.T)
+        for r in range(5):
+            path = extremal_path(sample_prm(spec, r), LimitKind.FORWARD)
+            # the path starts at 0 at t = 0, which its grid leaves out
+            sup = max(0.0, float(np.max(path.values)))
+            np.testing.assert_allclose(peak[r], sup, rtol=1e-14, atol=0.0)
 
 
 class TestMarginalLaws:
@@ -207,6 +236,28 @@ class TestMarginalLaws:
         b = limit_marginal_values(LimitKind.BACKWARD, spec, 3000)
         f = limit_marginal_values(LimitKind.FORWARD, spec, 3000, rep_start=3000)
         assert ks_2samp(b, f, method="asymp").pvalue > 0.01
+
+
+class TestSelfConsistency:
+    # limit-process samples against their own closed form, scaled as the
+    # verification tags scale them, at the 1 percent level
+    def test_self_test_soundness(self):
+        # at least 95 of 100 seeds pass
+        rule, law = TAG_RULES["Thm11-backward"], preset_law("cauchy")
+        crit = ks_threshold(400, 0.01)
+        passes = 0
+        for seed in range(100):
+            vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400, u=1.0)
+            passes += int(ks_statistic(vals, rule.limit_cdf(law, 1.0)) <= crit)
+        assert passes >= 95
+
+    def test_peak_self_test(self):
+        rule, law = TAG_RULES["Thm15-backward"], preset_law("regvar")
+        crit = ks_threshold(400, 0.01)
+        for seed in range(10):
+            vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400, u=1.0)
+            D = ks_statistic(vals, rule.limit_cdf(law, 1.0))
+            assert D <= crit, (seed, D)
 
 
 class TestTruncationExactness:

@@ -12,7 +12,7 @@ from scipy.special import kolmogi
 
 from perpetuities.errors import ConfigurationError, ParameterError, StatisticalError
 from perpetuities.laws import PRESET_NAMES, compute_bn, preset_law
-from perpetuities.limits import LimitKind, PrmSpec, extremal_path, sample_prm
+from perpetuities.limits import LimitKind, limit_marginal_values
 from perpetuities.simulate import (
     backward_marginal_values,
     backward_sup_values,
@@ -23,7 +23,6 @@ from perpetuities.verify import (
     REPORT_TAGS,
     TAG_RULES,
     VerificationReport,
-    _forward_limit_sup,
     canonical_tag,
     compatible_tags,
     ks_statistic,
@@ -220,28 +219,6 @@ class TestVerifyMarginal:
         rep = verify_marginal("thm15-backward", HEAVY, 1000, 1.0, 300, seed=5, threshold=0.12)
         assert rep.passed
 
-    def test_self_test_soundness(self):
-        # limit-process samples against their own closed form must pass
-        # at the 1 percent level in at least 95 of 100 seeds
-        passes = 0
-        crit = ks_threshold(400, 0.01)
-        for seed in range(100):
-            rep = verify_marginal(
-                "thm11-backward", CAUCHY, 1000, 1.0, 400,
-                seed=seed, threshold=crit, source="limit",
-            )
-            passes += int(rep.passed)
-        assert passes >= 95
-
-    def test_peak_self_test(self):
-        crit = ks_threshold(400, 0.01)
-        for seed in range(10):
-            rep = verify_marginal(
-                "thm15-backward", REGVAR, 1000, 1.0, 400,
-                seed=seed, threshold=crit, source="limit",
-            )
-            assert rep.passed, (seed, rep.D)
-
     def test_wrong_alpha_stays_far(self):
         # samples scaled under alpha 0.5 do not fit the alpha 0.9 curve,
         # and the gap does not shrink as R grows
@@ -271,8 +248,6 @@ class TestVerifyMarginal:
             verify_marginal("pakes114", CAUCHY, 500, 2.0, 200, seed=1)
         with pytest.raises(ConfigurationError):
             verify_marginal("forwardbackwardequality", CAUCHY, 500, 1.0, 200, seed=1)
-        with pytest.raises(ConfigurationError):
-            verify_marginal("thm11-backward", CAUCHY, 500, 1.0, 200, seed=1, source="csv")
 
     def test_replication_floor(self):
         with pytest.raises(ParameterError):
@@ -322,43 +297,32 @@ class TestFunctionalSup:
         assert rep.passed
 
     def test_mismatched_limit_law_fails(self):
-        bad = preset_law("cauchy", c=3.0)
-        rep = verify_functional_sup(
-            "thm11-backward", CAUCHY, 1000, 1.0, 300, seed=16, limit_law=bad
-        )
-        assert not rep.passed and rep.D > 0.2
+        # the check reassembled with the limit side drawn under c = 3
+        # instead of the simulated law's c = 1
+        rule, r = TAG_RULES["Thm11-backward"], 300
+        sups, flags = backward_sup_values(CAUCHY, 1000, 1.0, r, seed=16)
+        sim = sups[flags == 0] / rule.scale(CAUCHY, 1000)
+        spec = rule.limit_spec(preset_law("cauchy", c=3.0), 1.0, 16)
+        lim = limit_marginal_values(rule.kind, spec, r, u=1.0, rep_start=r)
+        D = two_sample_ks(sim, lim)
+        assert D > 0.2 and not D <= two_sample_threshold(sim.size, lim.size)
 
     def test_monotone_kind_reduces_to_marginal(self):
         # for the nondecreasing limit kinds the limit-side sup is the
         # endpoint marginal, so the whole check can be reassembled by hand
-        from perpetuities.limits import limit_marginal_values
-        from perpetuities.verify import DEFAULT_LIMIT_GAMMA
-
         r = 200
         rep = verify_functional_sup("thm11-backward", CAUCHY, 500, 1.0, r, seed=4)
         sups, flags = backward_sup_values(CAUCHY, 500, 1.0, r, seed=4)
-        spec = TAG_RULES["Thm11-backward"].limit_spec(CAUCHY, 1.0, DEFAULT_LIMIT_GAMMA, 4)
+        spec = TAG_RULES["Thm11-backward"].limit_spec(CAUCHY, 1.0, 4)
         lim = limit_marginal_values(LimitKind.BACKWARD, spec, r, u=1.0, rep_start=r)
         manual = two_sample_ks(sups[flags == 0] / (CAUCHY.a * 500), lim)
         assert rep.D == manual
-
-    def test_forward_sup_helper_exact(self):
-        spec = PrmSpec(c=2.0, alpha=0.8, T=3.0, gamma=0.3, seed=29)
-        for r in range(30):
-            pm = sample_prm(spec, rep=r)
-            path = extremal_path(pm, LimitKind.FORWARD, grid_step=0.01)
-            assert _forward_limit_sup(pm) == np.max(path.values)
 
     def test_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             verify_functional_sup("pakes114", CAUCHY, 500, 1.0, 200, seed=1)
         with pytest.raises(ConfigurationError):
             verify_functional_sup("thm11-backward", REGVAR, 500, 1.0, 200, seed=1)
-        bad = preset_law("regvar")
-        with pytest.raises(ConfigurationError):
-            verify_functional_sup(
-                "thm11-backward", CAUCHY, 500, 1.0, 200, seed=1, limit_law=bad
-            )
 
 
 @pytest.mark.parametrize("tag", MARGINAL_TAGS)
