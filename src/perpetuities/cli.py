@@ -51,7 +51,6 @@ from .simulate import (
     write_paths_csv,
 )
 from .verify import (
-    DEFAULT_D_BOUND,
     TAG_RULES,
     canonical_tag,
     compatible_tags,
@@ -74,14 +73,16 @@ class _CliParser(argparse.ArgumentParser):
 
 
 # any other error makes argparse name the type function in its message
-def _at_least_one(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _finite_floats(text):
@@ -104,16 +105,24 @@ def _add_law_flags(p):
         p.add_argument(f"--{key}", type=float)
 
 
-def _add_run_flags(p, T=1.0):
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--T", type=float, default=T)
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--R", type=_at_least_one, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_at_least_one, default=1)
+_RUN_FLAGS = {
+    "n": dict(type=int, default=1000),
+    "T": dict(type=float, default=1.0),
+    "u": dict(type=float, default=1.0),
+    "R": dict(type=_int_at_least(1), default=1000),
+    "seed": dict(type=_int_at_least(0), default=0),
+    "threshold": dict(type=float),
+}
+
+
+def _add_run_flags(p, *names, **defaults):
+    """The named run flags, then the three that never reach an output byte."""
+    for name in names:
+        p.add_argument(f"--{name}", **_RUN_FLAGS[name])
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", type=str)
-    p.add_argument("--threshold", type=float)
     p.add_argument("--config", type=str)
+    p.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,32 +132,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate chain paths to CSV")
     _add_law_flags(p)
-    _add_run_flags(p)
+    _add_run_flags(p, "n", "T", "R", "seed")
     p.add_argument("--chain", choices=("backward", "forward"), default="backward")
     p.add_argument("--x0", type=float, default=0.0)
 
     p = sub.add_parser("limits", help="limit-process samples, paths, CDF tables")
-    p.add_argument("mode", choices=("cdf", "prm", "path"))
-    _add_run_flags(p)
-    p.add_argument("--kind", type=str)
+    modes = p.add_subparsers(dest="mode", parser_class=_CliParser)
+    modes.required = True
+    p = modes.add_parser("cdf", help="limit marginal CDF table")
+    _add_run_flags(p, "u")
+    p.add_argument("--kind", type=str.lower, choices=("thm11", "thm15"), default="thm11")
     p.add_argument("--ca", type=float,
                    help="tail-to-drift ratio c/a for the drift-family cdf")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--grid-step", dest="grid_step", type=float)
     p.add_argument("--xs", type=_finite_floats,
                    help="comma-separated evaluation points")
+    for mode, text in (("prm", "Poisson measure atoms"), ("path", "extremal limit paths")):
+        p = modes.add_parser(mode, help=text)
+        _add_run_flags(p, "T", "R", "seed")
+        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--kind", type=str.lower, choices=[k.value for k in LimitKind],
+                   default="backward")
+    p.add_argument("--grid-step", dest="grid_step", type=float)
 
     p = sub.add_parser("verify", help="verification suite against limit laws")
     _add_law_flags(p)
-    _add_run_flags(p, T=None)  # None: T falls back to u
+    _add_run_flags(p, *_RUN_FLAGS, T=None)  # None: T falls back to u
     p.add_argument("--theorem", type=str)
     p.add_argument("--variant", type=str,
                    help="marginal tag behind a FunctionalSup check")
 
     p = sub.add_parser("theorem21", help="condition report and decay table")
-    _add_run_flags(p, T=None)  # None: T falls back to the instance horizon
+    _add_run_flags(p, "T", "seed", T=None)  # None: T falls back to the instance horizon
     p.add_argument("--instance", choices=instance_names(), default="mixed-sign")
     p.add_argument("--ns", type=_rounded_ints,
                    help="comma-separated stage sizes")
@@ -156,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="regime classification as JSON")
     _add_law_flags(p)
-    _add_run_flags(p)
+    _add_run_flags(p, "seed")
 
     return parser
 
@@ -198,26 +215,25 @@ def _resolve_law(args, default_preset=None):
     return preset_law(name, **overrides)
 
 
-def _resolved(args, law=None, **extra) -> dict:
-    """Config dictionary embedded in every output file.
+def _resolved(args, law=None) -> dict:
+    """Config dictionary embedded in every output file: the parsed flags.
 
-    The job count and output directory are omitted: neither affects
-    any emitted value, and reruns that vary only those must stay
-    byte-identical.  ``extra`` adds command-specific keys and may
-    override the shared ones.
+    Each command parses only the flags it reads, and its handler stores
+    resolved values (a defaulted horizon, a canonical tag) back on
+    ``args``, so every key is a setting that reached the output.  The
+    job count, output directory and config file are left out: none
+    affects any emitted value, and reruns that vary only those must stay
+    byte-identical.  A resolved ``law`` replaces the law flags; in
+    ``limits``, which takes no law, ``c`` and ``alpha`` are the Poisson
+    measure's own.  Unset (None) flags are left out.
     """
-    d = {
-        "command": args.command,
-        "version": __version__,
-        "law": None if law is None else law_to_dict(law),
-        "n": args.n,
-        "T": args.T,
-        "u": args.u,
-        "R": args.R,
-        "seed": args.seed,
-        "threshold": args.threshold,
-        **extra,
-    }
+    d = dict(vars(args), version=__version__)
+    for key in ("jobs", "out", "config"):
+        del d[key]
+    if law is not None:
+        for key in _LAW_OVERRIDE_KEYS:
+            del d[key]
+        d["law"] = law_to_dict(law)
     return {k: v for k, v in sorted(d.items()) if v is not None}
 
 
@@ -227,8 +243,8 @@ def _out_file(args, name: str):
     return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
 
 
-def _config_line(args, law=None, **extra) -> str:
-    return f"# config: {json.dumps(_resolved(args, law, **extra), sort_keys=True)}\n"
+def _config_line(args, law=None) -> str:
+    return f"# config: {json.dumps(_resolved(args, law), sort_keys=True)}\n"
 
 
 def _cmd_simulate(args) -> int:
@@ -239,56 +255,38 @@ def _cmd_simulate(args) -> int:
     )
     paths = [simulate(scenario, rep=r) for r in range(args.R)]
     with _out_file(args, "simulate_paths.csv") as fh:
-        fh.write(_config_line(args, law, chain=args.chain, x0=args.x0))
+        fh.write(_config_line(args, law))
         write_paths_csv(paths, fh)
     print(f"wrote {args.R} {args.chain} paths (n={args.n}, T={args.T})")
     return 0
 
 
-_CDF_KINDS = ("thm11", "thm15")
-_PATH_KINDS = {
-    "backward": LimitKind.BACKWARD,
-    "forward": LimitKind.FORWARD,
-    "peak": LimitKind.PEAK,
-}
-
-
 def _cmd_limits(args) -> int:
-    mode = args.mode
-    if mode == "cdf":
-        kind = "thm11" if args.kind is None else args.kind.lower()
-        if kind not in _CDF_KINDS:
-            raise ConfigurationError(f"--kind must be one of {_CDF_KINDS}, got {kind}")
+    if args.mode == "cdf":
         if args.xs is None:
             raise ConfigurationError("--xs is required here")
-        if kind == "thm11":
+        if args.kind == "thm11":
             if args.ca is None:
                 raise ConfigurationError("the drift-family cdf needs --ca")
             rows = [(x, float(drift_marginal_cdf(x, args.u, args.ca, 1.0))) for x in args.xs]
-            extra = {"ca": args.ca}
         else:
             if args.alpha is None:
                 raise ConfigurationError("the peak-family cdf needs --alpha")
             rows = [(x, float(peak_marginal_cdf(x, args.u, args.alpha))) for x in args.xs]
-            extra = {"alpha": args.alpha}
         lines = ["x,F"] + [f"{x!r},{f!r}" for x, f in rows]
         if args.out is None:
             print("\n".join(lines))
         else:
             with _out_file(args, "limits_cdf.csv") as fh:
-                fh.write(_config_line(args, mode=mode, kind=kind, xs=args.xs,
-                                      grid_step=args.grid_step, **extra))
+                fh.write(_config_line(args))
                 fh.write("\n".join(lines) + "\n")
             print(f"wrote {len(rows)} cdf rows")
         return 0
 
-    alpha = 1.0 if args.alpha is None else args.alpha
-    extra = {"mode": mode, "c": args.c, "alpha": alpha, "gamma": args.gamma,
-             "grid_step": args.grid_step}
-    spec = PrmSpec(c=args.c, alpha=alpha, T=args.T, gamma=args.gamma, seed=args.seed)
-    if mode == "prm":
+    spec = PrmSpec(c=args.c, alpha=args.alpha, T=args.T, gamma=args.gamma, seed=args.seed)
+    if args.mode == "prm":
         with _out_file(args, "limits_prm.csv") as fh:
-            fh.write(_config_line(args, **extra))
+            fh.write(_config_line(args))
             fh.write("rep,time,mark\n")
             for r in range(args.R):
                 pm = sample_prm(spec, rep=r)
@@ -297,12 +295,7 @@ def _cmd_limits(args) -> int:
         print(f"wrote atom samples for {args.R} replications")
         return 0
 
-    kind_name = "backward" if args.kind is None else args.kind.lower()
-    if kind_name not in _PATH_KINDS:
-        raise ConfigurationError(
-            f"--kind must be one of {tuple(_PATH_KINDS)}, got {kind_name}"
-        )
-    kind = _PATH_KINDS[kind_name]
+    kind = LimitKind(args.kind)
     step = args.grid_step if kind is LimitKind.FORWARD else None
     paths = []
     for r in range(args.R):
@@ -311,44 +304,39 @@ def _cmd_limits(args) -> int:
         p.meta["rep"] = r
         paths.append(p)
     with _out_file(args, "limits_paths.csv") as fh:
-        fh.write(_config_line(args, kind=kind_name, **extra))
+        fh.write(_config_line(args))
         write_paths_csv(paths, fh)
-    print(f"wrote {args.R} {kind_name} limit paths")
+    print(f"wrote {args.R} {args.kind} limit paths")
     return 0
 
 
-def _run_verification(args, T, law, tag, variant):
-    common = dict(seed=args.seed, jobs=args.jobs)
+def _run_verification(args, law, tag):
+    common = dict(seed=args.seed, threshold=args.threshold, jobs=args.jobs)
     if tag == "ForwardBackwardEquality":
-        return verify_forward_backward_equality(
-            law, args.n, args.u, args.R, threshold=args.threshold, **common
-        )
+        return verify_forward_backward_equality(law, args.n, args.u, args.R, **common)
     if tag == "FunctionalSup":
-        return verify_functional_sup(
-            variant, law, args.n, T, args.R, threshold=args.threshold, **common
-        )
-    threshold = DEFAULT_D_BOUND if args.threshold is None else args.threshold
-    return verify_marginal(tag, law, args.n, args.u, args.R, threshold=threshold, **common)
+        return verify_functional_sup(args.variant, law, args.n, args.T, args.R, **common)
+    return verify_marginal(tag, law, args.n, args.u, args.R, **common)
 
 
 def _cmd_verify(args) -> int:
     tag = None if args.theorem is None else canonical_tag(args.theorem)
+    variant = None if args.variant is None else canonical_tag(args.variant)
     preset = TAG_RULES[tag].preset if tag in TAG_RULES else "cauchy"
     law = _resolve_law(args, preset)
-    variant = None
     if tag == "FunctionalSup" or tag is None:
-        fallback = compatible_tags(law)
-        variant = (
-            canonical_tag(args.variant)
-            if args.variant is not None
-            else (fallback[0] if fallback else None)
-        )
+        if variant is None:
+            fallback = compatible_tags(law)
+            variant = fallback[0] if fallback else None
         if tag == "FunctionalSup" and variant is None:
             raise ConfigurationError(
                 f"no marginal tag covers family {law.family}; "
                 "FunctionalSup needs --variant"
             )
-    T = args.u if args.T is None else args.T
+    else:
+        variant = None  # a marginal or equality check reads no variant
+    args.theorem, args.variant = tag, variant
+    args.T = args.u if args.T is None else args.T
 
     if tag is not None:
         tags = [tag]
@@ -363,9 +351,9 @@ def _cmd_verify(args) -> int:
     # the suite reads some batches twice (Thm11-forward and the equality
     # check, Thm11-backward and its sup), so they share one computation
     with shared_batches():
-        reports = [_run_verification(args, T, law, t, variant) for t in tags]
+        reports = [_run_verification(args, law, t) for t in tags]
 
-    config = _resolved(args, law, T=T, theorem=tag, variant=variant)
+    config = _resolved(args, law)
     with _out_file(args, "verify_reports.json") as fh:
         write_reports_json(reports, fh, config=config)
     with _out_file(args, "verify_summary.csv") as fh:
@@ -380,14 +368,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_theorem21(args) -> int:
-    ns = None if args.ns is None else tuple(args.ns)
-    inst = bundled_instance(args.instance, ns=ns, seed=args.seed)
-    horizon = float(inst.f_limit.horizon if args.T is None else args.T)
-    gamma = args.gamma if args.gamma is not None else default_gamma(inst.nu_limit)
-    config_line = _config_line(args, T=horizon, instance=args.instance, ns=ns,
-                               gamma=float(gamma))
+    inst = bundled_instance(args.instance, ns=args.ns, seed=args.seed)
+    args.T = float(inst.f_limit.horizon if args.T is None else args.T)
+    if args.gamma is None:
+        args.gamma = default_gamma(inst.nu_limit)
+    config_line = _config_line(args)
 
-    report = check_conditions(inst, horizon, gamma)
+    report = check_conditions(inst, args.T, args.gamma)
     with _out_file(args, "theorem21_conditions.csv") as fh:
         fh.write(config_line)
         writer = csv.writer(fh, lineterminator="\n")
@@ -399,7 +386,7 @@ def _cmd_theorem21(args) -> int:
         print("conditions failed; decay table withheld", file=sys.stderr)
         return 1
 
-    rows = convergence_demo(inst, horizon, gamma=gamma)
+    rows = convergence_demo(inst, args.T, gamma=args.gamma)
     with _out_file(args, "theorem21_decay.csv") as fh:
         fh.write(config_line)
         fh.write("n,c_n,d_n\n")
@@ -442,8 +429,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # the file's flags go first, so an explicit flag still wins
-            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+            # the file's flags go right after the command path (`limits
+            # <mode>` is two words), so an explicit flag still wins
+            k = 2 if args.command == "limits" else 1
+            args = parser.parse_args(argv[:k] + _config_flags(args) + argv[k:])
         return _HANDLERS[args.command](args)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -287,14 +287,16 @@ def verify_marginal(
     u: float,
     R: int,
     seed: int,
-    threshold: float = DEFAULT_D_BOUND,
+    threshold: float | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
     """One-sample KS check of a scaled time-u marginal against its limit law.
 
     The sample is the corresponding chain (or decayed sum) at index
     [nu]+1, scaled by ``a n`` in the drift regime and ``b_n`` in the peak
-    regime; degenerate replications are dropped before the test.
+    regime; degenerate replications are dropped before the test.  The
+    check passes when D is at most ``threshold``, by default the
+    absolute bound ``DEFAULT_D_BOUND``.
     """
     tag = canonical_tag(tag)
     rule = TAG_RULES.get(tag)
@@ -316,6 +318,8 @@ def verify_marginal(
     values = values / rule.scale(law, n)
     samples, degenerate = _screen_degenerate(tag, values, flags, R)
     D = ks_statistic(samples, rule.limit_cdf(law, u))
+    if threshold is None:
+        threshold = DEFAULT_D_BOUND
     return VerificationReport(
         tag=tag,
         n=n,

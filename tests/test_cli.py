@@ -82,8 +82,13 @@ class TestDomainChecks:
         ("verify", "--R", "abc"),
         ("verify", "--theorem", "functionalsup", "--law", "convergent", "--n", "50",
          "--R", "100"),
+        ("simulate", "--n", "5", "--R", "1", "--seed", "-3"),
+        ("limits", "prm", "--R", "1", "--seed", "-1"),
+        ("verify", "--theorem", "thm11-backward", "--variant", "nonsense", "--n", "50",
+         "--R", "100"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
-            "verify-gamma", "R-abc", "functionalsup-no-variant"])
+            "verify-gamma", "R-abc", "functionalsup-no-variant", "seed-negative",
+            "limits-seed-negative", "variant-unknown"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
@@ -91,6 +96,73 @@ class TestDomainChecks:
         # the message speaks of the value, not of a private function
         assert re.search(r"\b_\w", err) is None, err
         assert not any(tmp_path.iterdir())
+
+
+class TestUnreadFlags:
+    # a flag the command does not read is an error, on the command line
+    # and in a config file alike, not a silent no-op in the config line
+    @pytest.mark.parametrize("argv, doc", [
+        (("simulate", "--n", "5", "--R", "1", "--u", "0.5"), None),
+        (("limits", "cdf", "--ca", "1", "--xs", "1", "--seed", "1"), None),
+        (("limits", "cdf", "--ca", "1", "--xs", "1", "--grid-step", "0.5"), None),
+        (("limits", "prm", "--R", "1", "--kind", "peak"), None),
+        (("limits", "path", "--R", "1", "--n", "5"), None),
+        (("theorem21", "--R", "5"), None),
+        (("theorem21", "--threshold", "2"), None),
+        (("classify", "--law", "cauchy", "--n", "5"), None),
+        (("classify", "--law", "cauchy"), {"n": 5}),
+        (("limits", "cdf", "--ca", "1", "--xs", "1"), {"seed": 1}),
+        (("limits", "path", "--R", "1"), {"u": 0.5}),
+        (("theorem21",), {"R": 5}),
+    ], ids=["simulate-u", "cdf-seed", "cdf-grid-step", "prm-kind", "path-n",
+            "theorem21-R", "theorem21-threshold", "classify-n", "classify-config-n",
+            "cdf-config-seed", "path-config-u", "theorem21-config-R"])
+    def test_rejected_with_exit_one(self, capsys, tmp_path, argv, doc):
+        if doc is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ("--config", str(cfg))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and "unexpected" not in err
+        assert not out.exists()
+
+
+class TestConfigKeys:
+    # the config line records every flag the command reads, resolved,
+    # and nothing else; --jobs and --out never reach it
+    BASE = {"command", "version"}
+
+    @pytest.mark.parametrize("argv, name, keys", [
+        (("simulate", "--n", "20", "--R", "1"), "simulate_paths.csv",
+         {"law", "n", "T", "R", "seed", "chain", "x0"}),
+        (("limits", "cdf", "--ca", "1", "--xs", "1"), "limits_cdf.csv",
+         {"mode", "kind", "u", "ca", "xs"}),
+        (("limits", "prm", "--R", "1"), "limits_prm.csv",
+         {"mode", "T", "R", "seed", "c", "alpha", "gamma"}),
+        (("limits", "path", "--R", "1", "--grid-step", "0.5"), "limits_paths.csv",
+         {"mode", "T", "R", "seed", "c", "alpha", "gamma", "kind", "grid_step"}),
+        (("verify", "--theorem", "functionalsup", "--n", "50", "--R", "100",
+          "--threshold", "1"), "verify_summary.csv",
+         {"law", "n", "T", "u", "R", "seed", "threshold", "theorem", "variant"}),
+        (("verify", "--theorem", "thm11-backward", "--variant", "thm11-forward",
+          "--n", "50", "--R", "100"), "verify_summary.csv",
+         {"law", "n", "T", "u", "R", "seed", "theorem"}),
+        (("theorem21", "--instance", "single-atom", "--ns", "10,20"), "theorem21_decay.csv",
+         {"T", "seed", "instance", "ns", "gamma"}),
+        (("classify", "--law", "cauchy"), "classify_regime.json", {"law", "seed"}),
+    ], ids=["simulate", "limits-cdf", "limits-prm", "limits-path", "verify",
+            "verify-marginal-variant", "theorem21", "classify"])
+    def test_keys(self, capsys, tmp_path, argv, name, keys):
+        code, _, err = run(capsys, *argv, "--jobs", "2", "--out", str(tmp_path))
+        assert code in (0, 2), err
+        text = (tmp_path / name).read_text()
+        if name.endswith(".json"):
+            config = json.loads(text)["config"]
+        else:
+            config = json.loads(text.splitlines()[0].removeprefix("# config:"))
+        assert set(config) == self.BASE | keys
 
 
 class TestLimitsSampling:
@@ -388,7 +460,7 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, doc, flags", [
-        (("limits", "cdf"), {"kind": "thm11", "ca": 1, "xs": [0.5, 1, 2], "threshold": None},
+        (("limits", "cdf"), {"kind": "thm11", "ca": 1, "xs": [0.5, 1, 2], "alpha": None},
          ("--kind", "thm11", "--ca", "1", "--xs", "0.5,1,2")),
         (("theorem21",), {"instance": "single-atom", "ns": [10, 20]},
          ("--instance", "single-atom", "--ns", "10,20")),
