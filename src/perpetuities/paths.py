@@ -7,12 +7,14 @@ atoms ``(t, y)`` with positive marks.
 
 ``j1_distance`` evaluates the Skorokhod J1 metric restricted to piecewise
 linear time changes whose breakpoints sit at jump times (time changes fix 0
-and the horizon).  Within that class the infimum is computed exactly by a
-feasibility dynamic program over monotone pairings of the two jump sets:
-unpaired jumps are allowed, a pairing costs the time displacement of the two
-jumps, and every segment overlap induced by the pairing costs the value
-mismatch.  The optimum is always one of the finitely many candidate costs
-(a value gap or a time gap), so a binary search over candidates is exact.
+and the horizon), as a bottleneck over monotone pairings of the two jump
+sets: unpaired jumps are allowed, a pairing costs the time displacement of
+the two jumps, and every segment overlap induced by the pairing costs the
+value mismatch.  Unpaired jumps between two pairs may come in any order at
+no time cost, so the result can fall below the metric proper where an
+unpaired jump would have to cross a jump of the other path.  One pass of a min/max dynamic
+program over the (segment of f, segment of g) lattice computes it exactly,
+in O(pq) time and O(p+q) memory for p and q jumps.
 """
 
 from __future__ import annotations
@@ -133,28 +135,6 @@ def uniform_distance(f: StepPath, g: StepPath) -> float:
     return float(np.max(np.abs(f.values_at(grid) - g.values_at(grid))))
 
 
-def _run_reach(okrow: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    # reach[j] = ok[j] and some seed fires at j' <= j with ok true throughout [j', j]
-    idx = np.arange(okrow.size)
-    last_bad = np.maximum.accumulate(np.where(~okrow, idx, -1))
-    cum = np.cumsum(seeds & okrow)
-    cum_before = np.where(last_bad >= 0, cum[np.maximum(last_bad, 0)], 0)
-    return okrow & (cum - cum_before > 0)
-
-
-def _j1_feasible(dvals, pairable, D) -> bool:
-    ok = dvals <= D
-    p1, q1 = ok.shape
-    if not (ok[0, 0] and ok[p1 - 1, q1 - 1]):
-        return False
-    reach = _run_reach(ok[0], np.concatenate(([True], np.zeros(q1 - 1, bool))))
-    for i in range(1, p1):
-        seeds = reach.copy()                      # unpaired jump of f
-        seeds[1:] |= reach[:-1] & pairable[i - 1]  # paired jumps
-        reach = _run_reach(ok[i], seeds)
-    return bool(reach[-1])
-
-
 def _least_feasible(cands: np.ndarray, feasible) -> float:
     # bisection for the smallest of the sorted candidates that passes the
     # monotone test ``feasible``; the last candidate must pass
@@ -178,24 +158,35 @@ def j1_distance(f: StepPath, g: StepPath) -> float:
     but is still returned exactly.
     """
     _check_same_horizon(f, g)
-    T = f.horizon
-    fv, gv = f.values, g.values
-    a, b = f.times, g.times
-    dvals = np.abs(fv[:, None] - gv[None, :])
     upper = uniform_distance(f, g)
     if upper == 0.0:
         return 0.0
-    if a.size and b.size:
-        pair_cost = np.abs(a[:, None] - b[None, :])
-        # a jump exactly at the horizon can only pair with another one there,
-        # because admissible time changes fix the horizon
-        mismatch = (a[:, None] == T) != (b[None, :] == T)
-        pair_cost = np.where(mismatch, np.inf, pair_cost)
-    else:
-        pair_cost = np.zeros((a.size, b.size))
-    cands = np.concatenate((dvals.ravel(), pair_cost.ravel(), [upper]))
-    cands = np.unique(cands[(cands <= upper) & np.isfinite(cands)])
-    return _least_feasible(cands, lambda D: _j1_feasible(dvals, pair_cost <= D, D))
+    # row i of the lattice: best[j] is the least achievable max-cost over
+    # staircases from (0, 0) to (i, j), i.e. to f's segment i against g's
+    # segment j; a step up leaves a jump of f unpaired, a step right one of
+    # g, and a diagonal step pairs the two jumps at their time displacement
+    T = f.horizon
+    fv, gv = f.values, g.values
+    b = g.times
+    # a jump exactly at the horizon can only pair with another one there,
+    # because admissible time changes fix the horizon
+    b_at_T = b == T
+    best = np.maximum.accumulate(np.abs(fv[0] - gv))
+    for i, t in enumerate(f.times, start=1):
+        pair_cost = np.abs(t - b)
+        pair_cost[b_at_T != (t == T)] = np.inf
+        enter = np.minimum(best[1:], np.maximum(best[:-1], pair_cost)).tolist()
+        gap = np.abs(fv[i] - gv).tolist()
+        x = max(gap[0], float(best[0]))
+        row = [x]
+        for d, e in zip(gap[1:], enter):
+            if e < x:
+                x = e
+            if d > x:
+                x = d
+            row.append(x)
+        best = np.array(row)
+    return float(best[-1])
 
 
 def point_match_distance(nu1: PointMeasure, nu2: PointMeasure, delta: float) -> float:

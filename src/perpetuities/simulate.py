@@ -290,6 +290,7 @@ def write_paths_csv(paths, fp):
     fp.write("rep,t,value\n")
     for i, p in enumerate(paths):
         rep = p.meta.get("rep", i)
-        fp.write(f"{rep},{0.0!r},{float(p.values[0])!r}\n")
-        for t, v in zip(p.times, p.values[1:]):
-            fp.write(f"{rep},{float(t)!r},{float(v)!r}\n")
+        values = p.values.tolist()
+        rows = [f"{rep},{0.0!r},{values[0]!r}\n"]
+        rows += [f"{rep},{t!r},{v!r}\n" for t, v in zip(p.times.tolist(), values[1:])]
+        fp.write("".join(rows))

@@ -1,6 +1,7 @@
 """Tests for step paths, point measures, and the path metrics."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ def random_path(rng, horizon=1.0, n_jumps=10, scale=1.0):
 
 
 def j1_minmax_oracle(f, g):
-    """Independent bottleneck DP over monotone jump pairings.
+    """Reference bottleneck DP over monotone jump pairings, cell by cell.
 
     cost(i, j) = best achievable max-cost among staircases ending at the
     segment pair (i, j); moves are unpaired f jump (up), unpaired g jump
     (right), and paired jumps (diagonal, costing the time displacement).
+    This is the recurrence ``j1_distance`` runs, written over full
+    matrices; ``j1_pairing_bruteforce`` checks both against the definition.
     """
     T = f.horizon
     fv, gv, a, b = f.values, g.values, f.times, g.times
@@ -53,6 +56,57 @@ def j1_minmax_oracle(f, g):
                 best = min(best, max(cost[i - 1, j - 1], pc))
             cost[i, j] = max(best, abs(fv[i] - gv[j]))
     return float(cost[p1 - 1, q1 - 1])
+
+
+def j1_pairing_bruteforce(f, g):
+    """Least cost over every monotone partial pairing of the two jump sets.
+
+    A pairing costs the larger of the largest time displacement of a paired
+    jump (infinite when exactly one of the two sits at the horizon) and the
+    value mismatch on every segment overlap it induces.  Between two
+    consecutive pairs, the unpaired jumps of f and of g may come in any
+    order at no time cost; each order induces its own overlaps, and the
+    pairing takes the cheapest.  Exponential, so only for a few jumps per side.
+    """
+    T = f.horizon
+    a, b = f.times, g.times
+    p, q = a.size, b.size
+
+    def gap(i, j):
+        return abs(f.values[i] - g.values[j])
+
+    def block(i0, j0, i1, j1):
+        # from the segment pair (i0, j0) to (i1, j1) by unpaired jumps only
+        m, n = i1 - i0, j1 - j0
+        least = np.inf
+        for f_steps in itertools.combinations(range(m + n), m):
+            i, j = i0, j0
+            worst = gap(i, j)
+            for k in range(m + n):
+                if k in f_steps:
+                    i += 1
+                else:
+                    j += 1
+                worst = max(worst, gap(i, j))
+            least = min(least, worst)
+        return least
+
+    best = np.inf
+    for k in range(min(p, q) + 1):
+        for paired_f in itertools.combinations(range(1, p + 1), k):
+            for paired_g in itertools.combinations(range(1, q + 1), k):
+                pairs = list(zip(paired_f, paired_g))
+                cost = 0.0
+                for i, j in pairs:
+                    s, u = a[i - 1], b[j - 1]
+                    cost = max(cost, abs(s - u) if (s == T) == (u == T) else np.inf)
+                # a pair (i, j) enters the segment pair (i, j) from (i-1, j-1)
+                starts = [(0, 0)] + pairs
+                ends = [(i - 1, j - 1) for i, j in pairs] + [(p, q)]
+                for (i0, j0), (i1, j1) in zip(starts, ends):
+                    cost = max(cost, block(i0, j0, i1, j1))
+                best = min(best, cost)
+    return float(best)
 
 
 class TestStepPathBasics:
@@ -201,6 +255,37 @@ class TestJ1Distance:
             f = random_path(rng, n_jumps=rng.integers(0, 5))
             g = random_path(rng, n_jumps=rng.integers(0, 5))
             np.testing.assert_allclose(j1_distance(f, g), j1_minmax_oracle(f, g), rtol=0)
+
+    def test_matches_pairing_bruteforce(self):
+        # jump times on a coarse grid that ends at the horizon, so jumps
+        # coincide and sit at T; integer values half the time, so gaps tie
+        rng = np.random.default_rng(41)
+        grid = np.array([0.25, 0.5, 0.75, 1.0])
+
+        def tied_path():
+            times = np.sort(rng.choice(grid, size=rng.integers(0, 4), replace=False))
+            if rng.random() < 0.5:
+                values = rng.integers(-2, 3, size=times.size + 1).astype(float)
+            else:
+                values = rng.normal(size=times.size + 1)
+            return StepPath(1.0, times, values)
+
+        for _ in range(300):
+            f, g = tied_path(), tied_path()
+            assert j1_distance(f, g) == j1_pairing_bruteforce(f, g)
+
+    def test_memory_linear_in_jump_counts(self):
+        # one row of the (p+1) x (q+1) lattice at a time, never the matrix
+        rng = np.random.default_rng(43)
+        f = random_path(rng, n_jumps=300)
+        g = random_path(rng, n_jumps=300)
+        tracemalloc.start()
+        try:
+            j1_distance(f, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < f.values.size * g.values.size * 8
 
     def test_horizon_jump_must_pair_with_horizon_jump(self):
         # a jump exactly at T cannot be slid anywhere else, so the value
