@@ -11,6 +11,7 @@ unexpected exception, 2 for a failing or degenerate verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -25,10 +26,12 @@ from .errors import ConfigurationError, ParameterError, StatisticalError
 from .functionals import (
     bundled_instance,
     check_conditions,
-    convergence_demo,
+    decay_table,
     default_gamma,
     instance_names,
 )
+# unused here, kept importable for the hooks of bench/tracing.py
+from .functionals import convergence_demo  # noqa: F401
 from .laws import (
     PRESET_NAMES,
     classify_regime,
@@ -349,8 +352,9 @@ def _cmd_verify(args) -> int:
         if variant in TAG_RULES and TAG_RULES[variant].chain:
             tags.append("FunctionalSup")
     # the suite reads some batches twice (Thm11-forward and the equality
-    # check, Thm11-backward and its sup), so they share one computation
-    with shared_batches():
+    # check, Thm11-backward and its sup), so they share one computation; a
+    # single check has nothing to share and skips the prefix tables
+    with shared_batches() if len(tags) > 1 else contextlib.nullcontext():
         reports = [_run_verification(args, law, t) for t in tags]
 
     config = _resolved(args, law)
@@ -386,7 +390,7 @@ def _cmd_theorem21(args) -> int:
         print("conditions failed; decay table withheld", file=sys.stderr)
         return 1
 
-    rows = convergence_demo(inst, args.T, gamma=args.gamma)
+    rows = decay_table(inst, args.T)
     with _out_file(args, "theorem21_decay.csv") as fh:
         fh.write(config_line)
         fh.write("n,c_n,d_n\n")

@@ -296,6 +296,12 @@ def convergence_demo(inst: ConvergenceInstance, T: float, gamma: float | None = 
     if report.has_fail:
         bad = ", ".join(r.name for r in report.results if r.status == FAIL)
         raise ConfigurationError(f"hypotheses failed for {inst.name}: {bad}")
+    return decay_table(inst, T)
+
+
+def decay_table(inst: ConvergenceInstance, T: float):
+    """Decay table (n, c_n, d_n) of ``convergence_demo``, without scoring
+    the hypotheses; a caller that scored them already calls this."""
     target = restrict_path(g_functional(inst.f_limit, inst.nu_limit), T)
     rows = []
     for n, f, nu, c in zip(inst.ns, inst.f_seq, inst.nu_seq, inst.c_seq):

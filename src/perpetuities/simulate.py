@@ -11,9 +11,9 @@ backward terms have magnitudes S_{i-1} + log|Q_i|.  The forward chain
 unrolls to the closed form X_k = Pi_k (x0 + sum_{i<=k} Q_i / Pi_i), so its
 terms have magnitudes log|Q_i| - S_i (x0 leads as one more term) and the
 pool sum is shifted back by S_k.  The prefix sums come from
-``slog.signed_log_cumsum`` (the decayed Pakes sums, which need only the
-total, from ``slog.signed_log_sum``), so no magnitude is ever
-exponentiated.  Near-cancelled combines are flagged and
+``slog.signed_log_cumsum``, so no magnitude is ever exponentiated.  The
+decayed Pakes sums have positive terms only, so each is one
+``slog.pool_logsumexp``.  Near-cancelled combines are flagged and
 surface as per-replication counts so the statistical layer can exclude
 them; an exact zero iterate (excluded by the model assumptions, possible
 only for contrived point-mass laws) raises in the path API and is flagged
@@ -23,7 +23,7 @@ Replication r of a run with master seed s draws from the dedicated stream
 ``default_rng([s, r])``, which makes every batch independent of chunking
 and worker count.
 
-The four chain samplers (backward and forward, marginal and sup) read one
+The chain samplers (backward and forward, marginal and sup) read one
 batch table: per replication, the last log-magnitude, its maximum, the
 endpoint flag (a cancelled last combine, plus one if the last iterate is
 exactly zero) and the prefix flag (all cancelled combines, plus one if any
@@ -32,7 +32,12 @@ and the flag it reads.  Inside a ``shared_batches()`` scope, equal requests
 (same law, iterate count, replications, seed, first replication, start
 and direction) reuse the table computed first, so a verification suite
 that reads one batch both as a marginal and as a sup simulates it once.
-Outside a scope nothing is kept.
+Outside a scope nothing is kept, and the backward marginal, which reads
+only the endpoint, builds no table: each chain is reduced to its two
+sign-pool totals (``slog.sign_pools``) and the whole batch is combined by
+one ``slog.signed_log_diff``.  Its values match the table's last entries
+to roundoff, and its flags are the endpoint flags.  The forward marginal
+keeps the table, because its flag reads every prefix.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ import numpy as np
 from .errors import ParameterError, StatisticalError
 from .laws import CoefficientLaw, draw_log_mq
 from .paths import StepPath
-from .slog import signed_log_cumsum, signed_log_sum
+from .slog import pool_logsumexp, sign_pools, signed_log_cumsum, signed_log_diff
 # unused here, kept importable for the hooks of bench/tracing.py
-from .slog import signed_log_add_arrays, signed_log_diff  # noqa: F401
+from .slog import signed_log_add_arrays  # noqa: F401
 
 __all__ = [
     "SimScenario",
@@ -97,15 +102,13 @@ def replication_rng(seed: int, rep: int):
     return np.random.default_rng([int(seed), int(rep)])
 
 
-def _chain_mags(law: CoefficientLaw, rng, count: int, x0: float = 0.0, forward: bool = False):
-    """(sign, logmag, cancelled) of the first ``count`` iterates of one chain.
+def _chain_terms(sign_m, log_m, sign_q, log_q, x0: float = 0.0, forward: bool = False):
+    """(sign_pi, S, term_sign, term_mag) of one chain's coefficient arrays.
 
     Backward: Y_k is the prefix sum of the terms Pi_{i-1} Q_i.  Forward:
     X_k = Pi_k (x0 + sum_{i<=k} Q_i / Pi_i), the prefix sum of x0 and the
-    terms Q_i / Pi_i, times Pi_k.  ``cancelled[k]`` marks a near-total loss
-    of magnitude in the k-th combine of the positive and negative pools.
+    terms Q_i / Pi_i, times Pi_k.
     """
-    sign_m, log_m, sign_q, log_q = draw_log_mq(law, rng, count)
     S = np.cumsum(log_m)
     sign_pi = np.cumprod(sign_m)
     if forward:
@@ -114,6 +117,16 @@ def _chain_mags(law: CoefficientLaw, rng, count: int, x0: float = 0.0, forward: 
     else:
         term_sign = np.concatenate(([1], sign_pi[:-1])) * sign_q
         term_mag = np.concatenate(([0.0], S[:-1])) + log_q
+    return sign_pi, S, term_sign, term_mag
+
+
+def _chain_mags(law: CoefficientLaw, rng, count: int, x0: float = 0.0, forward: bool = False):
+    """(sign, logmag, cancelled) of the first ``count`` iterates of one chain.
+
+    ``cancelled[k]`` marks a near-total loss of magnitude in the k-th
+    combine of the positive and negative pools.
+    """
+    sign_pi, S, term_sign, term_mag = _chain_terms(*draw_log_mq(law, rng, count), x0, forward)
     sign, mag, cancelled = signed_log_cumsum(term_sign, term_mag)
     if forward:
         # entry 0 is the pool of x0 alone
@@ -162,7 +175,7 @@ def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: in
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
     _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), int(n) + 1)
-    return signed_log_sum(np.ones(n + 1), -a * np.arange(n + 1) + log_q).logmag
+    return pool_logsumexp(-a * np.arange(n + 1) + log_q)
 
 
 def scale_path(p: StepPath, divisor: float) -> StepPath:
@@ -240,9 +253,35 @@ def _batch(law, count, reps, seed, rep_start, jobs, x0=0.0, forward=False):
     return table
 
 
+def _backward_endpoints(law, count, reps, seed, rep_start, jobs):
+    """(last, endpoint flag) of ``reps`` backward chains of ``count``
+    iterates: each chain reduced to its two sign-pool totals, then one
+    combine for the whole batch."""
+    pos, neg = np.empty(reps), np.empty(reps)
+
+    def worker(lo, hi):
+        for r in range(lo, hi):
+            coeffs = draw_log_mq(law, replication_rng(seed, rep_start + r), count)
+            _, _, term_sign, term_mag = _chain_terms(*coeffs)
+            pos[r], neg[r] = sign_pools(term_sign, term_mag)
+        return None
+
+    _run_jobs(worker, reps, jobs)
+    sign, last, cancelled = signed_log_diff(pos, neg)
+    return last, cancelled.astype(np.int64) + (sign == 0)
+
+
 def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
-    """log|Y_{[nu]+1}| per replication; flags count poisoned samples."""
-    last, _, end, _ = _batch(law, _index_at(n, u), reps, seed, rep_start, jobs)
+    """log|Y_{[nu]+1}| per replication; flags count poisoned samples.
+
+    Outside a ``shared_batches()`` scope only the endpoint is computed;
+    inside one the full batch table is, since a later sup request of the
+    same batch reads every prefix.
+    """
+    count = _index_at(n, u)
+    if _SHARED.get() is None:
+        return _backward_endpoints(law, count, reps, seed, rep_start, jobs)
+    last, _, end, _ = _batch(law, count, reps, seed, rep_start, jobs)
     return last.copy(), end.copy()
 
 

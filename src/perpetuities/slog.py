@@ -2,11 +2,14 @@
 
 Magnitudes that span thousands of e-folds cannot be added as ordinary
 floats, so values are carried as (sign, log magnitude) pairs.  Every
-signed sum runs through one of two kernels: ``signed_log_cumsum`` (all
-prefix sums) or ``signed_log_sum`` (the total, each sign pool reduced
-around its maximum).  The only true subtraction happens in one final
-signed combine, where a near-total loss of magnitude is flagged on the
-result instead of being returned silently.
+signed sum splits its terms into a positive and a negative pool and
+reduces each pool in log space: ``signed_log_cumsum`` gives every prefix
+sum, ``sign_pools`` the two pool totals (each reduced around its
+maximum by ``pool_logsumexp``) and ``signed_log_sum`` their combined
+total.  The only true subtraction happens in one final signed combine,
+``signed_log_diff``, which also runs elementwise over many pool pairs at
+once; a near-total loss of magnitude is flagged on the result instead of
+being returned silently.
 """
 
 from __future__ import annotations
@@ -102,12 +105,13 @@ def slog_add(x: SignedLogValue, y: SignedLogValue) -> SignedLogValue:
     ))
 
 
-def _pool_logsumexp(mags: np.ndarray) -> float:
-    # all terms share a sign, so this is a plain max-shifted reduction
-    m = float(np.max(mags, initial=_NEG_INF))
+def pool_logsumexp(mags: np.ndarray) -> float:
+    """log of sum(exp(mags)) for the terms of one sign pool: a plain
+    max-shifted reduction, -inf for an empty pool."""
+    m = float(mags.max(initial=_NEG_INF))
     if m == _NEG_INF:
         return _NEG_INF
-    return m + math.log(float(np.sum(np.exp(mags - m))))
+    return m + math.log(float(np.exp(mags - m).sum()))
 
 
 def slog_sum(terms: Iterable[SignedLogValue]) -> SignedLogValue:
@@ -151,12 +155,17 @@ def signed_log_cumsum(signs, mags):
     return signed_log_diff(pos, neg)
 
 
-def signed_log_sum(signs, mags) -> SignedLogValue:
-    """The last prefix of ``signed_log_cumsum``, by one max-shifted reduce
-    per sign pool; it does not depend on term order beyond roundoff."""
+def sign_pools(signs, mags):
+    """(pos, neg): the log-magnitudes of the positive and the negative
+    pool totals of the terms ``signs[k] * exp(mags[k])``."""
     signs, mags = np.asarray(signs), np.asarray(mags, dtype=float)
-    pos = _pool_logsumexp(mags[signs > 0])
-    neg = _pool_logsumexp(mags[signs < 0])
+    return pool_logsumexp(mags[signs > 0]), pool_logsumexp(mags[signs < 0])
+
+
+def signed_log_sum(signs, mags) -> SignedLogValue:
+    """The last prefix of ``signed_log_cumsum``: the two ``sign_pools``
+    and one combine; it does not depend on term order beyond roundoff."""
+    pos, neg = sign_pools(signs, mags)
     return _scalar(*signed_log_diff(np.array([pos]), np.array([neg])))
 
 

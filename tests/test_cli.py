@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import perpetuities.cli as cli
+import perpetuities.functionals as functionals
 import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
 from perpetuities.laws import classify_regime, draw_log_mq, preset_law
@@ -343,6 +344,25 @@ class TestVerifySuiteSharing:
         ]
         assert doc["reports"] == [r.to_dict() for r in alone]
 
+    def test_single_backward_check_matches_the_suite(self, capsys, tmp_path, monkeypatch):
+        # in the suite Thm11-backward reads the batch table that
+        # FunctionalSup reuses; alone it runs no prefix scan
+        run(capsys, *self.ARGV, "--out", str(tmp_path / "suite"))
+        scans = []
+        scan = simulate_module.signed_log_cumsum
+        monkeypatch.setattr(simulate_module, "signed_log_cumsum",
+                            lambda *a: scans.append(1) or scan(*a))
+        run(capsys, *self.ARGV, "--theorem", "thm11-backward", "--out", str(tmp_path / "one"))
+        assert scans == []
+        suite, one = (
+            json.loads((tmp_path / out / "verify_reports.json").read_text())["reports"]
+            for out in ("suite", "one")
+        )
+        (in_suite,) = [r for r in suite if r["tag"] == "Thm11-backward"]
+        assert one[0]["tag"] == "Thm11-backward"
+        np.testing.assert_allclose(one[0]["D"], in_suite["D"], rtol=1e-12)
+        assert one[0]["degenerate"] == in_suite["degenerate"]
+
 
 class TestUnexpectedErrors:
     def test_catch_all_exit_code(self, capsys, monkeypatch):
@@ -387,6 +407,20 @@ class TestTheorem21Command:
 
     def test_unknown_instance(self, capsys):
         assert run(capsys, "theorem21", "--instance", "nope")[0] == 1
+
+    def test_conditions_are_checked_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = functionals.check_conditions
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_conditions", counted)
+        monkeypatch.setattr(functionals, "check_conditions", counted)
+        code, _, _ = run(capsys, "theorem21", "--ns", "100,400", "--out", str(tmp_path))
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestClassifyCommand:

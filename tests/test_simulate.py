@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from perpetuities.errors import ParameterError, StatisticalError
-from perpetuities.laws import CoefficientLaw, draw_log_mq, preset_law
+from perpetuities.laws import PRESET_NAMES, CoefficientLaw, draw_log_mq, preset_law
 import perpetuities.simulate as simulate_module
 from perpetuities.simulate import (
     SimScenario,
@@ -26,6 +26,7 @@ from perpetuities.simulate import (
     simulate_perpetuity_path,
     write_paths_csv,
 )
+from perpetuities.slog import signed_log_cumsum, signed_log_sum
 
 HALF = CoefficientLaw("Degenerate", m0=0.5, q0=1.0)
 UNIT = CoefficientLaw("Degenerate", m0=1.0, q0=1.0)
@@ -200,6 +201,14 @@ class TestPakesSum:
         assert np.all(np.isfinite(vals))
         assert flags.sum() == 0
 
+    def test_equals_the_signed_total_bit_for_bit(self):
+        # a positive pool combined with an empty negative pool is the pool
+        law = preset_law("regvar1")
+        for seed in (0, 7, 19):
+            _, _, _, lq = draw_log_mq(law, replication_rng(seed, 2), 301)
+            want = signed_log_sum(np.ones(301), -law.a * np.arange(301) + lq).logmag
+            assert simulate_pakes_sum(law.a, law, 300, seed, rep=2) == want
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             simulate_pakes_sum(0.0, UNIT, 5, seed=0)
@@ -312,15 +321,19 @@ class TestSharedBatches:
             w1, h1 = forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
             t1, k1 = forward_sup_values(self.LAW, 40, 1.0, 6, seed=61, jobs=3)
         assert len(draws) == 12
-        for got, want in [
-            ((v1, f1), backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)),
-            ((s1, g1), backward_sup_values(self.LAW, 40, 1.0, 6, seed=61)),
-            ((w1, h1), forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)),
-            ((t1, k1), forward_sup_values(self.LAW, 40, 1.0, 6, seed=61)),
+        # each request alone in a fresh scope; outside any scope the
+        # backward marginal takes the endpoint path (TestBackwardEndpoints)
+        for got, sampler in [
+            ((v1, f1), backward_marginal_values),
+            ((s1, g1), backward_sup_values),
+            ((w1, h1), forward_marginal_values),
+            ((t1, k1), forward_sup_values),
         ]:
+            with shared_batches():
+                want = sampler(self.LAW, 40, 1.0, 6, seed=61)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
-        assert len(draws) == 36  # the scope is closed, so each call computes
+        assert len(draws) == 36  # the first scope is closed, so each call computes
 
     def test_different_requests_do_not_share(self, draws):
         with shared_batches():
@@ -351,6 +364,62 @@ class TestSharedBatches:
             _, prefix = backward_sup_values(law, 49, 1.0, 3, seed=3)
         np.testing.assert_array_equal(end, 2)
         np.testing.assert_array_equal(prefix, 26)
+
+
+class TestBackwardEndpoints:
+    """Outside a scope the backward marginal reduces each chain to its two
+    sign-pool totals; inside one it reads the full batch table."""
+
+    LAWS = [pytest.param(preset_law(name), id=name) for name in PRESET_NAMES] + [
+        pytest.param(TestForwardFlags.FLIP, id="flip-flop")
+    ]
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("n", [49, 400])
+    def test_matches_the_table(self, law, n):
+        v, f = backward_marginal_values(law, n, 1.0, 24, seed=67)
+        with shared_batches():
+            w, g = backward_marginal_values(law, n, 1.0, 24, seed=67)
+        finite = np.isfinite(w)
+        np.testing.assert_array_equal(np.isfinite(v), finite)
+        np.testing.assert_array_equal(v[~finite], w[~finite])
+        np.testing.assert_allclose(v[finite], w[finite], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(f, g)
+        assert f.dtype == g.dtype
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_jobs_do_not_change_results(self, law):
+        v1, f1 = backward_marginal_values(law, 60, 1.0, 23, seed=71, jobs=1)
+        for jobs in (2, 3):
+            v, f = backward_marginal_values(law, 60, 1.0, 23, seed=71, jobs=jobs)
+            np.testing.assert_array_equal(v, v1)
+            np.testing.assert_array_equal(f, f1)
+
+    @pytest.fixture
+    def cumsums(self, monkeypatch):
+        calls = []
+
+        def counted(signs, mags):
+            calls.append(len(signs))
+            return signed_log_cumsum(signs, mags)
+
+        monkeypatch.setattr(simulate_module, "signed_log_cumsum", counted)
+        return calls
+
+    def test_no_prefix_scan_outside_a_scope(self, cumsums):
+        backward_marginal_values(preset_law("cauchy"), 40, 1.0, 6, seed=61, jobs=2)
+        assert cumsums == []
+        with shared_batches():
+            backward_marginal_values(preset_law("cauchy"), 40, 1.0, 6, seed=61)
+        assert len(cumsums) == 6
+
+    def test_a_sup_in_the_scope_reuses_the_marginal_batch(self, cumsums):
+        law = preset_law("cauchy")
+        with shared_batches():
+            last, _ = backward_marginal_values(law, 40, 1.0, 6, seed=61)
+            sup, _ = backward_sup_values(law, 40, 1.0, 6, seed=61)
+        assert len(cumsums) == 6  # one prefix scan per replication
+        assert np.all(sup >= last)
 
 
 class TestPathAsymptotics:
