@@ -30,25 +30,6 @@ from scipy.special import ndtr
 
 from .errors import ConfigurationError, ParameterError, UnsupportedFamilyError
 
-__all__ = [
-    "FAMILIES",
-    "CoefficientLaw",
-    "Regime",
-    "tail_Q",
-    "quantile_log_q",
-    "sample_mq",
-    "draw_log_mq",
-    "mean_log_m",
-    "compute_A",
-    "compute_bn",
-    "stability_integral_truncated",
-    "classify_regime",
-    "preset_law",
-    "PRESET_NAMES",
-    "law_to_dict",
-    "law_from_dict",
-]
-
 FAMILIES = (
     "CauchyTail",
     "RegVarTail",
@@ -196,22 +177,6 @@ def draw_log_mq(law: CoefficientLaw, rng, size: int):
     log_q = quantile_log_q(law, 1.0 - rng.random(size))
     sign_q = np.where(rng.random(size) < law.p_Q, 1, -1)
     return sign_m, log_m, sign_q, log_q
-
-
-def sample_mq(law: CoefficientLaw, rng, size=None):
-    """Draw (m, q) as real numbers.
-
-    Heavy-tailed q can exceed native floating range and come back as inf;
-    the simulators therefore consume draw_log_mq instead.
-    """
-    n = 1 if size is None else int(size)
-    sign_m, log_m, sign_q, log_q = draw_log_mq(law, rng, n)
-    with np.errstate(over="ignore"):
-        m = sign_m * np.exp(log_m)
-        q = sign_q * np.exp(log_q)
-    if size is None:
-        return float(m[0]), float(q[0])
-    return m, q
 
 
 def mean_log_m(law: CoefficientLaw) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .paths import PointMeasure, StepPath, _collapse_running
-from .simulate import _run_jobs, replication_rng
+from .simulate import _replications, _run_jobs, replication_rng
 
 DEFAULT_GRID_CELLS = 10_000
 
@@ -148,9 +148,7 @@ def limit_marginal_values(
     u = spec.T if u is None else float(u)
     if not (0.0 < u <= spec.T):
         raise ParameterError(f"evaluation time must lie in (0, T], got {u}")
-    reps = int(reps)
-    if reps <= 0:
-        raise ParameterError(f"replication count must be positive, got {reps}")
+    reps = _replications(reps)
     out = np.empty(reps)
 
     def worker(lo, hi):

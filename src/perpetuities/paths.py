@@ -27,16 +27,6 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ParameterError
 
-__all__ = [
-    "StepPath",
-    "PointMeasure",
-    "uniform_distance",
-    "j1_distance",
-    "point_match_distance",
-    "restrict_path",
-]
-
-
 def _as_readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True).reshape(-1)
     out.flags.writeable = False

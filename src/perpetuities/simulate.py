@@ -57,22 +57,6 @@ from .slog import pool_logsumexp, sign_pools, signed_log_cumsum, signed_log_diff
 # unused here, kept importable for the hooks of bench/tracing.py
 from .slog import signed_log_add_arrays  # noqa: F401
 
-__all__ = [
-    "SimScenario",
-    "replication_rng",
-    "simulate_perpetuity_path",
-    "simulate_forward_chain_path",
-    "simulate_pakes_sum",
-    "scale_path",
-    "backward_marginal_values",
-    "backward_sup_values",
-    "forward_marginal_values",
-    "forward_sup_values",
-    "pakes_values",
-    "write_paths_csv",
-]
-
-
 @dataclass(frozen=True)
 class SimScenario:
     """One simulation setting: law, scaling index, horizon, start, seed."""
@@ -94,7 +78,22 @@ class SimScenario:
     @property
     def steps(self) -> int:
         """Number of iterates emitted on [0, T]: [nT] + 1."""
-        return int(math.floor(self.n * self.T)) + 1
+        return _index_at(self.n, self.T)
+
+
+def _index_at(n: int, u: float) -> int:
+    """[nu] + 1, the number of iterates up to time u."""
+    if not (u > 0 and np.isfinite(u)):
+        raise ParameterError(f"evaluation time must be positive, got {u}")
+    return int(math.floor(n * u)) + 1
+
+
+def _replications(reps) -> int:
+    """``reps`` as an int; a batch needs at least one replication."""
+    reps = int(reps)
+    if reps < 1:
+        raise ParameterError(f"replication count must be positive, got {reps}")
+    return reps
 
 
 def replication_rng(seed: int, rep: int):
@@ -178,13 +177,6 @@ def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: in
     return pool_logsumexp(-a * np.arange(n + 1) + log_q)
 
 
-def scale_path(p: StepPath, divisor: float) -> StepPath:
-    """Divide all values by a positive constant; times unchanged."""
-    if not (divisor > 0 and np.isfinite(divisor)):
-        raise ParameterError(f"divisor must be positive and finite, got {divisor}")
-    return StepPath(p.horizon, p.times, p.values / divisor, meta=dict(p.meta))
-
-
 # ---------------------------------------------------------------------------
 # batch value samplers: one scalar per replication, r -> stream [seed, r].
 # jobs > 1 splits the replication range across threads; the per-replication
@@ -202,12 +194,6 @@ def shared_batches():
         yield
     finally:
         _SHARED.reset(token)
-
-
-def _index_at(n: int, u: float) -> int:
-    if not (u > 0 and np.isfinite(u)):
-        raise ParameterError(f"evaluation time must be positive, got {u}")
-    return int(math.floor(n * u)) + 1
 
 
 def _run_jobs(worker, reps, jobs):
@@ -278,7 +264,7 @@ def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
     inside one the full batch table is, since a later sup request of the
     same batch reads every prefix.
     """
-    count = _index_at(n, u)
+    count, reps = _index_at(n, u), _replications(reps)
     if _SHARED.get() is None:
         return _backward_endpoints(law, count, reps, seed, rep_start, jobs)
     last, _, end, _ = _batch(law, count, reps, seed, rep_start, jobs)
@@ -287,7 +273,7 @@ def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
 
 def backward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
     """sup over [0, T] of log|Y_{[nt]+1}| per replication."""
-    count = int(math.floor(n * T)) + 1
+    count, reps = _index_at(n, T), _replications(reps)
     _, sup, _, prefix = _batch(law, count, reps, seed, rep_start, jobs)
     return sup.copy(), prefix.copy()
 
@@ -299,20 +285,21 @@ def forward_marginal_values(law, n, u, reps, seed, x0=0.0, rep_start=0, jobs=1):
     forward flag counts every cancelled prefix combine up to the index and
     adds one if any iterate up to it is exactly zero.
     """
-    idx = _index_at(n, u)
-    last, _, _, prefix = _batch(law, idx, reps, seed, rep_start, jobs, x0, forward=True)
+    count, reps = _index_at(n, u), _replications(reps)
+    last, _, _, prefix = _batch(law, count, reps, seed, rep_start, jobs, x0, forward=True)
     return last.copy(), prefix.copy()
 
 
 def forward_sup_values(law, n, T, reps, seed, x0=0.0, rep_start=0, jobs=1):
     """sup over [0, T] of log|X_{[nt]+1}| per replication."""
-    count = int(math.floor(n * T)) + 1
+    count, reps = _index_at(n, T), _replications(reps)
     _, sup, _, prefix = _batch(law, count, reps, seed, rep_start, jobs, x0, forward=True)
     return sup.copy(), prefix.copy()
 
 
 def pakes_values(a, law, n, reps, seed, rep_start=0, jobs=1):
     """One decayed-sum sample per replication (always cancellation-free)."""
+    reps = _replications(reps)
     values = np.empty(reps)
 
     def worker(lo, hi):

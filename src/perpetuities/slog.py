@@ -22,15 +22,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = [
-    "CANCEL_RTOL",
-    "SignedLogValue",
-    "log_plus",
-    "slog_add",
-    "slog_mul",
-    "slog_sum",
-]
-
 # relative residual below which a signed combine counts as a cancellation
 CANCEL_RTOL = 1e-12
 _LOG_CANCEL = math.log(CANCEL_RTOL)
@@ -76,33 +67,10 @@ class SignedLogValue:
             return 0.0
         return self.sign * math.exp(self.logmag)
 
-    def log_plus(self) -> float:
-        """max(log|x|, 0); zero maps to 0."""
-        return max(self.logmag, 0.0)
-
-
-def log_plus(x: float) -> float:
-    """log of max(|x|, 1) for a plain real ``x``."""
-    return math.log(max(abs(float(x)), 1.0))
-
-
-def slog_mul(x: SignedLogValue, y: SignedLogValue) -> SignedLogValue:
-    sign = x.sign * y.sign
-    if sign == 0:
-        return SignedLogValue(0, _NEG_INF)
-    return SignedLogValue(sign, x.logmag + y.logmag)
-
 
 def _scalar(sign, mag, cancelled) -> SignedLogValue:
     """The single entry of a length-1 kernel result."""
     return SignedLogValue(int(sign[0]), float(mag[0]), bool(cancelled[0]))
-
-
-def slog_add(x: SignedLogValue, y: SignedLogValue) -> SignedLogValue:
-    return _scalar(*signed_log_add_arrays(
-        np.array([x.sign]), np.array([x.logmag]),
-        np.array([y.sign]), np.array([y.logmag]),
-    ))
 
 
 def pool_logsumexp(mags: np.ndarray) -> float:

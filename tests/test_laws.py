@@ -28,7 +28,6 @@ from perpetuities.laws import (
     mean_log_m,
     preset_law,
     quantile_log_q,
-    sample_mq,
     stability_integral_truncated,
     tail_Q,
 )
@@ -177,15 +176,18 @@ class TestTailQ:
 class TestSampling:
     def test_degenerate_point_mass(self):
         law = CoefficientLaw("Degenerate", m0=math.exp(-1.0), q0=math.e)
-        m, q = sample_mq(law, np.random.default_rng(0))
-        np.testing.assert_allclose(m, 0.36787944117144233)
-        np.testing.assert_allclose(q, 2.718281828459045)
+        sign_m, log_m, sign_q, log_q = draw_log_mq(law, np.random.default_rng(0), 3)
+        np.testing.assert_array_equal(sign_m, [1, 1, 1])
+        np.testing.assert_allclose(log_m, -1.0, rtol=1e-15)
+        np.testing.assert_array_equal(sign_q, [1, 1, 1])
+        np.testing.assert_allclose(log_q, 1.0, rtol=1e-15)
 
     def test_same_seed_same_draw(self):
         law = preset_law("cauchy")
-        a = sample_mq(law, np.random.default_rng(99))
-        b = sample_mq(law, np.random.default_rng(99))
-        assert a == b
+        a = draw_log_mq(law, np.random.default_rng(99), 50)
+        b = draw_log_mq(law, np.random.default_rng(99), 50)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_drift_sample_mean(self):
         # mean of log|M| over 1e5 draws within 3 standard errors of -a

@@ -168,6 +168,8 @@ class TestMarginalSampler:
             limit_marginal_values(LimitKind.PEAK, spec, 5, u=2.0)
         with pytest.raises(ParameterError):
             limit_marginal_values(LimitKind.PEAK, spec, 0)
+        with pytest.raises(ParameterError):
+            limit_marginal_values(LimitKind.PEAK, spec, -1)
 
     def test_jobs_do_not_change_results(self):
         spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.1, seed=35)

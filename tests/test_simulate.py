@@ -19,7 +19,6 @@ from perpetuities.simulate import (
     forward_sup_values,
     pakes_values,
     replication_rng,
-    scale_path,
     shared_batches,
     simulate_forward_chain_path,
     simulate_pakes_sum,
@@ -30,6 +29,15 @@ from perpetuities.slog import signed_log_cumsum, signed_log_sum
 
 HALF = CoefficientLaw("Degenerate", m0=0.5, q0=1.0)
 UNIT = CoefficientLaw("Degenerate", m0=1.0, q0=1.0)
+
+# each batch sampler as a function of the replication count alone
+BATCH_SAMPLERS = {
+    "backward_marginal_values": lambda reps: backward_marginal_values(HALF, 10, 1.0, reps, 0),
+    "backward_sup_values": lambda reps: backward_sup_values(HALF, 10, 1.0, reps, 0),
+    "forward_marginal_values": lambda reps: forward_marginal_values(HALF, 10, 1.0, reps, 0),
+    "forward_sup_values": lambda reps: forward_sup_values(HALF, 10, 1.0, reps, 0),
+    "pakes_values": lambda reps: pakes_values(1.0, HALF, 10, reps, 0),
+}
 
 
 class TestScenario:
@@ -216,24 +224,6 @@ class TestPakesSum:
             simulate_pakes_sum(1.0, UNIT, -1, seed=0)
 
 
-class TestScalePath:
-    def test_divides_values(self):
-        p = simulate_perpetuity_path(SimScenario(UNIT, n=4, T=1.0))
-        q = scale_path(p, 2.0)
-        np.testing.assert_allclose(q.values, p.values / 2.0)
-        np.testing.assert_array_equal(q.times, p.times)
-
-    def test_round_trip(self):
-        p = simulate_perpetuity_path(SimScenario(preset_law("cauchy"), n=20, seed=2))
-        q = scale_path(scale_path(p, 7.0), 1.0 / 7.0)
-        np.testing.assert_allclose(q.values, p.values, rtol=1e-15)
-
-    def test_rejects_bad_divisor(self):
-        p = simulate_perpetuity_path(SimScenario(UNIT, n=4, T=1.0))
-        with pytest.raises(ParameterError):
-            scale_path(p, 0.0)
-
-
 class TestBatchSamplers:
     def test_marginal_matches_path(self):
         # a path with horizon u draws exactly the same coefficient count
@@ -283,6 +273,19 @@ class TestBatchSamplers:
         # u = 8.3e-4, which a few thousand draws reach
         with pytest.raises(ParameterError, match="overflows"):
             backward_marginal_values(preset_law("regvar", alpha=0.01), 2000, 1.0, 200, seed=3)
+
+    @pytest.mark.parametrize("T", [0.0, -1e-4, -1.0, np.nan])
+    @pytest.mark.parametrize("sampler", [backward_sup_values, forward_sup_values],
+                             ids=lambda f: f.__name__)
+    def test_sup_rejects_bad_horizon(self, sampler, T):
+        with pytest.raises(ParameterError, match="evaluation time"):
+            sampler(preset_law("cauchy"), 1000, T, 3, seed=0)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    @pytest.mark.parametrize("name", BATCH_SAMPLERS)
+    def test_rejects_bad_replication_count(self, name, reps):
+        with pytest.raises(ParameterError, match="replication count"):
+            BATCH_SAMPLERS[name](reps)
 
     def test_no_degenerate_samples_for_continuous_law(self):
         # condition: continuous Q laws never hit flagged cancellation

@@ -9,11 +9,8 @@ from perpetuities.errors import ParameterError
 from perpetuities.slog import (
     CANCEL_RTOL,
     SignedLogValue,
-    log_plus,
     signed_log_add_arrays,
     signed_log_diff,
-    slog_add,
-    slog_mul,
     slog_sum,
 )
 
@@ -23,6 +20,12 @@ SHIFTED_ADD_EXPECTED = 1000.0000453988992168646467694878293071055967815023
 
 def sv(x):
     return SignedLogValue.from_real(x)
+
+
+def kernel_add(x, y):
+    """x + y through ``signed_log_add_arrays`` on length-1 arrays."""
+    out = signed_log_add_arrays(*(np.array([v]) for v in (x.sign, x.logmag, y.sign, y.logmag)))
+    return SignedLogValue(*(a.item() for a in out))
 
 
 class TestSignedLogValue:
@@ -58,32 +61,21 @@ class TestSignedLogValue:
         for x in xs:
             np.testing.assert_allclose(sv(x).to_real(), x, rtol=64 * np.finfo(float).eps)
 
-    def test_log_plus_method(self):
-        assert SignedLogValue(1, 3.0).log_plus() == 3.0
-        assert SignedLogValue(-1, -2.0).log_plus() == 0.0
-        assert SignedLogValue(0, -np.inf).log_plus() == 0.0
-
-    def test_log_plus_function(self):
-        assert log_plus(1.0) == 0.0
-        assert log_plus(-0.5) == 0.0
-        np.testing.assert_allclose(log_plus(-np.e), 1.0)
-        assert log_plus(0.0) == 0.0
-
 
 class TestSlogAdd:
     def test_mixed_sign_small(self):
-        out = slog_add(sv(2.0), sv(-1.0))
+        out = kernel_add(sv(2.0), sv(-1.0))
         assert out.sign == 1
         np.testing.assert_allclose(out.logmag, 0.0, atol=1e-15)
 
     def test_zero_is_identity(self):
         for mag in [-5.0, 0.0, 1000.0, 1e6]:
             x = SignedLogValue(1, mag)
-            out = slog_add(x, sv(0.0))
+            out = kernel_add(x, sv(0.0))
             assert out.sign == 1 and out.logmag == mag
 
     def test_huge_magnitudes(self):
-        out = slog_add(SignedLogValue(1, 1000.0), SignedLogValue(1, 990.0))
+        out = kernel_add(SignedLogValue(1, 1000.0), SignedLogValue(1, 990.0))
         assert out.sign == 1
         np.testing.assert_allclose(out.logmag, SHIFTED_ADD_EXPECTED, rtol=1e-15)
 
@@ -92,7 +84,7 @@ class TestSlogAdd:
         for _ in range(200):
             x = SignedLogValue(int(rng.choice([-1, 1])), float(rng.uniform(-50, 50)))
             y = SignedLogValue(int(rng.choice([-1, 1])), float(rng.uniform(-50, 50)))
-            a, b = slog_add(x, y), slog_add(y, x)
+            a, b = kernel_add(x, y), kernel_add(y, x)
             assert a.sign == b.sign and a.logmag == b.logmag
 
     def test_associative_within_tolerance(self):
@@ -100,50 +92,33 @@ class TestSlogAdd:
         for _ in range(200):
             vals = rng.normal(0, 1, 3) * np.exp(rng.uniform(-5, 5, 3))
             x, y, z = (sv(v) for v in vals)
-            left = slog_add(slog_add(x, y), z)
-            right = slog_add(x, slog_add(y, z))
+            left = kernel_add(kernel_add(x, y), z)
+            right = kernel_add(x, kernel_add(y, z))
             if left.cancelled or right.cancelled:
                 continue
             assert left.sign == right.sign
             np.testing.assert_allclose(left.logmag, right.logmag, rtol=1e-12, atol=1e-12)
 
     def test_exact_cancellation(self):
-        out = slog_add(SignedLogValue(1, 7.5), SignedLogValue(-1, 7.5))
+        out = kernel_add(SignedLogValue(1, 7.5), SignedLogValue(-1, 7.5))
         assert out.sign == 0
         assert out.logmag == -np.inf
         assert out.cancelled
 
     def test_near_cancellation_flagged(self):
-        out = slog_add(SignedLogValue(1, 1e-13), SignedLogValue(-1, 0.0))
+        out = kernel_add(SignedLogValue(1, 1e-13), SignedLogValue(-1, 0.0))
         assert out.cancelled
-        clean = slog_add(SignedLogValue(1, 1.0), SignedLogValue(-1, 0.0))
+        clean = kernel_add(SignedLogValue(1, 1.0), SignedLogValue(-1, 0.0))
         assert not clean.cancelled
 
     def test_matches_float_in_range(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             a, b = rng.normal(0, 10, 2)
-            out = slog_add(sv(a), sv(b))
+            out = kernel_add(sv(a), sv(b))
             if out.cancelled:
                 continue
             np.testing.assert_allclose(out.to_real(), a + b, rtol=1e-10, atol=1e-300)
-
-
-class TestSlogMul:
-    def test_signs_and_mags(self):
-        out = slog_mul(SignedLogValue(-1, 3.0), SignedLogValue(1, 4.0))
-        assert out.sign == -1
-        assert out.logmag == 7.0
-
-    def test_zero_absorbs(self):
-        out = slog_mul(sv(0.0), SignedLogValue(1, 1e6))
-        assert out.sign == 0 and out.logmag == -np.inf
-
-    def test_matches_float(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            a, b = rng.normal(0, 3, 2)
-            np.testing.assert_allclose(slog_mul(sv(a), sv(b)).to_real(), a * b, rtol=1e-12)
 
 
 class TestSlogSum:
@@ -181,17 +156,6 @@ class TestSlogSum:
         np.testing.assert_allclose(out.logmag, 5000.0 + math.log1p(-math.exp(-10.0)), rtol=1e-15)
 
 
-class TestLogPlusInequality:
-    def test_lipschitz_like_bound(self):
-        # |log+|x| - log+|y|| <= log(1 + |x - y|)
-        rng = np.random.default_rng(23)
-        x = rng.normal(0, 5, 2000)
-        y = rng.normal(0, 5, 2000)
-        lhs = np.abs([log_plus(a) - log_plus(b) for a, b in zip(x, y)])
-        rhs = np.log1p(np.abs(x - y))
-        assert np.all(lhs <= rhs + 1e-12)
-
-
 class TestArrayKernels:
     def test_signed_log_diff_matches_scalar(self):
         rng = np.random.default_rng(29)
@@ -212,21 +176,6 @@ class TestArrayKernels:
     def test_signed_log_diff_exact_tie_flagged(self):
         sign, mag, cancelled = signed_log_diff([2.0], [2.0])
         assert sign[0] == 0 and cancelled[0]
-
-    def test_signed_log_add_arrays_matches_slog_add(self):
-        rng = np.random.default_rng(31)
-        sa = rng.choice([-1, 0, 1], size=300)
-        sb = rng.choice([-1, 0, 1], size=300)
-        ma = np.where(sa == 0, -np.inf, rng.uniform(-40, 40, 300))
-        mb = np.where(sb == 0, -np.inf, rng.uniform(-40, 40, 300))
-        sign, mag, cancelled = signed_log_add_arrays(sa, ma, sb, mb)
-        for i in range(300):
-            ref = slog_add(SignedLogValue(int(sa[i]), float(ma[i])),
-                           SignedLogValue(int(sb[i]), float(mb[i])))
-            assert sign[i] == ref.sign
-            if ref.sign != 0:
-                np.testing.assert_allclose(mag[i], ref.logmag, rtol=1e-13)
-            assert bool(cancelled[i]) == ref.cancelled
 
     def test_cancel_rtol_exposed(self):
         assert CANCEL_RTOL == 1e-12

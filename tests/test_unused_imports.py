@@ -4,21 +4,40 @@ Static checks with the standard library's ``ast``.  An import bound to a
 name that no expression of the module reads is dead code.  ``__init__.py``
 imports in order to re-export, and lines marked ``# noqa: F401`` keep a
 name importable on purpose, so both are skipped.  A public top-level
-function or class is dead code unless the package exports it, some
-module of the package reads it, or it is the console script.
+function or class, and every name the package exports, is dead code
+unless a caller reads it: a package module other than ``__init__.py``, a
+script of ``demos/`` or ``bench/``, or a hook of ``bench/tracing.py``.
+The console script and the few exports that only tests read are listed
+by name.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
 import perpetuities
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "perpetuities"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "perpetuities"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the scripts outside the package that call into it; their tests do not count
+SCRIPTS = sorted(
+    p for d in ("demos", "bench") for p in (ROOT / d).glob("*.py")
+    if not p.name.startswith("test_")
+)
+TRACING = ROOT / "bench" / "tracing.py"
 # the [project.scripts] entry point of pyproject.toml
-ENTRY_POINTS = {("cli", "main")}
+ENTRY_POINTS = ("main",)
+# exports whose only readers are tests, each with the reason it stays
+TEST_ONLY = (
+    ("slog_sum", "acceptance criterion 10 sums SignedLogValue terms with it"),
+    ("tail_Q", "the exact tail that the quantile tests compare against"),
+    ("drift_exceedance_intensity", "the acceptance identity exp(-intensity) = CDF"),
+    ("report_from_dict", "the report round trip of the verify tests"),
+    ("law_from_dict", "the inverse of law_to_dict, for re-running a command from its output"),
+)
 
 
 def unused_imports(source: str):
@@ -49,37 +68,75 @@ def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_public_names(sources: dict, exported, entry_points=()):
-    """(module, name) of each public top-level def or class that is not
-    exported, not an entry point, and read by no module in ``sources``."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        defined += [
-            (module, node.name) for node in tree.body
+def read_names(source: str):
+    """Every name and attribute name that ``source`` loads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def dead_public_names(modules, callers, exported, exempt):
+    """Each name in ``exported``, and each public top-level def or class of
+    ``modules``, that no source in ``modules`` or ``callers`` reads and
+    ``exempt`` does not list."""
+    names = set(exported)
+    for source in modules:
+        names |= {
+            node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
-        ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return sorted(
-        (module, name) for module, name in defined
-        if name not in exported and name not in read and (module, name) not in entry_points
-    )
+        }
+    read = set().union(*map(read_names, [*modules, *callers]))
+    return sorted(names - read - set(exempt))
 
 
 def test_detects_a_dead_public_name():
-    sources = {
-        "a": ("def used():\n    pass\ndef exported():\n    pass\n"
-              "def dead():\n    pass\ndef _private():\n    pass\nclass Main:\n    pass\n"),
-        "b": "from . import a\nfrom .a import dead\na.used()\n",
-    }
-    assert dead_public_names(sources, {"exported"}, {("a", "Main")}) == [("a", "dead")]
+    modules = [
+        "def used():\n    pass\ndef exported():\n    pass\n"
+        "def dead():\n    pass\ndef _private():\n    pass\nclass Main:\n    pass\n",
+        "from . import a\nfrom .a import dead\na.used()\n",
+    ]
+    callers = ["import pkg\npkg.called()\n"]
+    exported = {"exported", "called", "hooked"}
+    assert dead_public_names(modules, callers, exported, {"Main", "hooked"}) == [
+        "dead", "exported",
+    ]
+
+
+def hooked_attributes():
+    """The module attributes that the hooks of ``bench/tracing.py`` replace."""
+    module = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return {attr for _, _, attr, _ in module.HOOKS}
 
 
 def test_every_public_name_is_used():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    assert dead_public_names(sources, perpetuities.__all__, ENTRY_POINTS) == []
+    modules = [p.read_text(encoding="utf-8") for p in MODULES]
+    callers = [p.read_text(encoding="utf-8") for p in SCRIPTS]
+    test_only = sorted(name for name, _ in TEST_ONLY)
+    exempt = {*ENTRY_POINTS, *hooked_attributes()}
+    assert dead_public_names(modules, callers, perpetuities.__all__, {*exempt, *test_only}) == []
+    # an exemption is dropped once a caller reads the name
+    assert dead_public_names(modules, callers, test_only, exempt) == test_only
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    reexported = [
+        alias.asname or alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+    ]
+    assert sorted(perpetuities.__all__) == sorted(reexported)
+    assert len(set(reexported)) == len(reexported)
+    # the package list is the only one
+    defines_all = [
+        p.name for p in MODULES
+        for node in ast.parse(p.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    assert defines_all == []
