@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .paths import PointMeasure, StepPath, _collapse_running
-from .simulate import _replications, _run_jobs, replication_rng
+from .simulate import _run_jobs, replication_rng
 
 DEFAULT_GRID_CELLS = 10_000
 
@@ -148,16 +148,12 @@ def limit_marginal_values(
     u = spec.T if u is None else float(u)
     if not (0.0 < u <= spec.T):
         raise ParameterError(f"evaluation time must lie in (0, T], got {u}")
-    reps = _replications(reps)
-    out = np.empty(reps)
 
-    def worker(lo, hi):
-        for r in range(lo, hi):
-            pm = sample_prm(spec, rep_start + r)
-            out[r] = _marginal_value(kind, pm.times, pm.marks, u)
+    def one(r):
+        pm = sample_prm(spec, rep_start + r)
+        return _marginal_value(kind, pm.times, pm.marks, u)
 
-    _run_jobs(worker, reps, jobs)
-    return out
+    return _run_jobs(one, reps, jobs)
 
 
 def drift_marginal_cdf(x, u: float, c: float, a: float):

@@ -20,23 +20,26 @@ only for contrived point-mass laws) raises in the path API and is flagged
 in the batch samplers.
 
 Replication r of a run with master seed s draws from the dedicated stream
-``default_rng([s, r])``, which makes every batch independent of chunking
-and worker count.
+``default_rng([s, r])``.  Every batch sampler is one per-replication
+function mapped by ``_run_jobs``, which returns one row per replication;
+the row depends on r alone, so a batch is independent of chunking and
+worker count.
 
 The chain samplers (backward and forward, marginal and sup) read one
-batch table: per replication, the last log-magnitude, its maximum, the
-endpoint flag (a cancelled last combine, plus one if the last iterate is
-exactly zero) and the prefix flag (all cancelled combines, plus one if any
-iterate is exactly zero).  Each sampler returns fresh copies of the value
-and the flag it reads.  Inside a ``shared_batches()`` scope, equal requests
-(same law, iterate count, replications, seed, first replication, start
-and direction) reuse the table computed first, so a verification suite
-that reads one batch both as a marginal and as a sup simulates it once.
-Outside a scope nothing is kept, and the backward marginal, which reads
-only the endpoint, builds no table: each chain is reduced to its two
-sign-pool totals (``slog.sign_pools``) and the whole batch is combined by
-one ``slog.signed_log_diff``.  Its values match the table's last entries
-to roundoff, and its flags are the endpoint flags.  The forward marginal
+batch table with a row per replication: the last log-magnitude, its
+maximum, the endpoint flag (a cancelled last combine, plus one if the
+last iterate is exactly zero) and the prefix flag (all cancelled
+combines, plus one if any iterate is exactly zero).  Each sampler returns
+fresh copies of the value column and the flag column it reads.  Inside a
+``shared_batches()`` scope, equal requests (same law, iterate count,
+replications, seed, first replication and direction) reuse the table
+computed first, so a verification suite that reads one batch both as a
+marginal and as a sup simulates it once.  Outside a scope nothing is
+kept, and the backward marginal, which reads only the endpoint, builds no
+table: each chain is reduced to its two sign-pool totals
+(``slog.sign_pools``) and the whole batch is combined by one
+``slog.signed_log_diff``.  Its values match the table's last entries to
+roundoff, and its flags are the endpoint flags.  The forward marginal
 keeps the table, because its flag reads every prefix.
 """
 
@@ -68,12 +71,11 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n}")
         if not (np.isfinite(self.T) and self.T > 0):
             raise ParameterError(f"T must be positive and finite, got {self.T}")
         if not np.isfinite(self.x0):
             raise ParameterError(f"x0 must be finite, got {self.x0}")
+        _index_at(self.n, self.T)
 
     @property
     def steps(self) -> int:
@@ -82,18 +84,12 @@ class SimScenario:
 
 
 def _index_at(n: int, u: float) -> int:
-    """[nu] + 1, the number of iterates up to time u."""
+    """[nu] + 1, the number of iterates up to time u; n is a positive integer."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ParameterError(f"n must be a positive integer, got {n}")
     if not (u > 0 and np.isfinite(u)):
         raise ParameterError(f"evaluation time must be positive, got {u}")
     return int(math.floor(n * u)) + 1
-
-
-def _replications(reps) -> int:
-    """``reps`` as an int; a batch needs at least one replication."""
-    reps = int(reps)
-    if reps < 1:
-        raise ParameterError(f"replication count must be positive, got {reps}")
-    return reps
 
 
 def replication_rng(seed: int, rep: int):
@@ -171,16 +167,17 @@ def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: in
     """log of sum_{k=0}^{n} e^{-ak} |Q_{k+1}|, via one positive log-space pool."""
     if not (a > 0 and np.isfinite(a)):
         raise ParameterError(f"decay rate must be positive, got {a}")
-    if n < 0:
-        raise ParameterError(f"n must be nonnegative, got {n}")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ParameterError(f"n must be a nonnegative integer, got {n}")
     _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), int(n) + 1)
     return pool_logsumexp(-a * np.arange(n + 1) + log_q)
 
 
 # ---------------------------------------------------------------------------
 # batch value samplers: one scalar per replication, r -> stream [seed, r].
-# jobs > 1 splits the replication range across threads; the per-replication
-# streams make the result identical for every split.
+# Each is a per-replication function mapped by _run_jobs, the only loop over
+# replications: jobs > 1 cuts the range into contiguous chunks of
+# ceil(reps / jobs), one per thread, and the rows come back in order.
 
 # the memo of the innermost open shared_batches() scope, None outside one
 _SHARED = contextvars.ContextVar("shared_batches", default=None)
@@ -196,64 +193,64 @@ def shared_batches():
         _SHARED.reset(token)
 
 
-def _run_jobs(worker, reps, jobs):
-    ranges = []
-    step = max(1, math.ceil(reps / max(1, jobs)))
-    for start in range(0, reps, step):
-        ranges.append((start, min(start + step, reps)))
-    if len(ranges) <= 1 or jobs <= 1:
-        return [worker(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda ab: worker(*ab), ranges))
+def _run_jobs(one, reps, jobs):
+    """``np.array([one(r) for r in range(reps)])``, split across ``jobs`` threads."""
+    reps = int(reps)
+    if reps < 1:
+        raise ParameterError(f"replication count must be positive, got {reps}")
+    if not jobs >= 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
+    step = math.ceil(reps / jobs)
+    chunks = [range(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+    if len(chunks) == 1:
+        return np.array([one(r) for r in chunks[0]])
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = pool.map(lambda chunk: [one(r) for r in chunk], chunks)
+        return np.array([row for part in parts for row in part])
 
 
-def _batch(law, count, reps, seed, rep_start, jobs, x0=0.0, forward=False):
-    """The batch table (last, sup, endpoint flag, prefix flag) of ``reps``
-    chains of ``count`` iterates, one entry per replication.
+def _batch(law, count, reps, seed, rep_start, jobs, forward=False):
+    """The batch table of ``reps`` chains of ``count`` iterates: one row
+    (last, sup, endpoint flag, prefix flag) per replication.
 
-    Inside ``shared_batches()`` an equal request returns the arrays
-    computed first, so the samplers hand out copies.
+    Inside ``shared_batches()`` an equal request returns the table
+    computed first, so the samplers hand out column copies.
     """
     memo = _SHARED.get()
-    key = (law, int(count), int(reps), int(seed), int(rep_start), float(x0), bool(forward))
+    key = (law, int(count), int(reps), int(seed), int(rep_start), bool(forward))
     if memo is not None and key in memo:
         return memo[key]
-    last, sup = np.empty(reps), np.empty(reps)
-    end, prefix = np.zeros(reps, dtype=np.int64), np.zeros(reps, dtype=np.int64)
 
-    def worker(lo, hi):
-        for r in range(lo, hi):
-            sign, mag, cancelled = _chain_mags(
-                law, replication_rng(seed, rep_start + r), count, x0, forward
-            )
-            last[r], sup[r] = mag[-1], mag.max()
-            end[r] = int(cancelled[-1]) + int(sign[-1] == 0)
-            any_zero = np.count_nonzero(sign) < sign.size
-            prefix[r] = np.count_nonzero(cancelled) + int(any_zero)
-        return None
+    def one(r):
+        rng = replication_rng(seed, rep_start + r)
+        sign, mag, cancelled = _chain_mags(law, rng, count, forward=forward)
+        any_zero = np.count_nonzero(sign) < sign.size
+        end = int(cancelled[-1]) + int(sign[-1] == 0)
+        return mag[-1], mag.max(), end, np.count_nonzero(cancelled) + int(any_zero)
 
-    _run_jobs(worker, reps, jobs)
-    table = last, sup, end, prefix
+    table = _run_jobs(one, reps, jobs)
     if memo is not None:
         memo[key] = table
     return table
+
+
+def _columns(table, value, flag):
+    """Copies of one value column and one flag column of a batch table."""
+    return table[:, value].copy(), table[:, flag].astype(np.int64)
 
 
 def _backward_endpoints(law, count, reps, seed, rep_start, jobs):
     """(last, endpoint flag) of ``reps`` backward chains of ``count``
     iterates: each chain reduced to its two sign-pool totals, then one
     combine for the whole batch."""
-    pos, neg = np.empty(reps), np.empty(reps)
 
-    def worker(lo, hi):
-        for r in range(lo, hi):
-            coeffs = draw_log_mq(law, replication_rng(seed, rep_start + r), count)
-            _, _, term_sign, term_mag = _chain_terms(*coeffs)
-            pos[r], neg[r] = sign_pools(term_sign, term_mag)
-        return None
+    def one(r):
+        coeffs = draw_log_mq(law, replication_rng(seed, rep_start + r), count)
+        _, _, term_sign, term_mag = _chain_terms(*coeffs)
+        return sign_pools(term_sign, term_mag)
 
-    _run_jobs(worker, reps, jobs)
-    sign, last, cancelled = signed_log_diff(pos, neg)
+    pools = _run_jobs(one, reps, jobs)
+    sign, last, cancelled = signed_log_diff(pools[:, 0], pools[:, 1])
     return last, cancelled.astype(np.int64) + (sign == 0)
 
 
@@ -264,51 +261,41 @@ def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
     inside one the full batch table is, since a later sup request of the
     same batch reads every prefix.
     """
-    count, reps = _index_at(n, u), _replications(reps)
+    count = _index_at(n, u)
     if _SHARED.get() is None:
         return _backward_endpoints(law, count, reps, seed, rep_start, jobs)
-    last, _, end, _ = _batch(law, count, reps, seed, rep_start, jobs)
-    return last.copy(), end.copy()
+    return _columns(_batch(law, count, reps, seed, rep_start, jobs), 0, 2)
 
 
 def backward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
     """sup over [0, T] of log|Y_{[nt]+1}| per replication."""
-    count, reps = _index_at(n, T), _replications(reps)
-    _, sup, _, prefix = _batch(law, count, reps, seed, rep_start, jobs)
-    return sup.copy(), prefix.copy()
+    return _columns(_batch(law, _index_at(n, T), reps, seed, rep_start, jobs), 1, 3)
 
 
-def forward_marginal_values(law, n, u, reps, seed, x0=0.0, rep_start=0, jobs=1):
-    """log|X_{[nu]+1}| per replication, started from x0.
+def forward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
+    """log|X_{[nu]+1}| per replication, started from zero.
 
     Unlike the backward marginal, whose flag looks at the endpoint only, a
     forward flag counts every cancelled prefix combine up to the index and
     adds one if any iterate up to it is exactly zero.
     """
-    count, reps = _index_at(n, u), _replications(reps)
-    last, _, _, prefix = _batch(law, count, reps, seed, rep_start, jobs, x0, forward=True)
-    return last.copy(), prefix.copy()
+    table = _batch(law, _index_at(n, u), reps, seed, rep_start, jobs, forward=True)
+    return _columns(table, 0, 3)
 
 
-def forward_sup_values(law, n, T, reps, seed, x0=0.0, rep_start=0, jobs=1):
-    """sup over [0, T] of log|X_{[nt]+1}| per replication."""
-    count, reps = _index_at(n, T), _replications(reps)
-    _, sup, _, prefix = _batch(law, count, reps, seed, rep_start, jobs, x0, forward=True)
-    return sup.copy(), prefix.copy()
+def forward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
+    """sup over [0, T] of log|X_{[nt]+1}| per replication, started from zero."""
+    table = _batch(law, _index_at(n, T), reps, seed, rep_start, jobs, forward=True)
+    return _columns(table, 1, 3)
 
 
-def pakes_values(a, law, n, reps, seed, rep_start=0, jobs=1):
-    """One decayed-sum sample per replication (always cancellation-free)."""
-    reps = _replications(reps)
-    values = np.empty(reps)
-
-    def worker(lo, hi):
-        for r in range(lo, hi):
-            values[r] = simulate_pakes_sum(a, law, n, seed, rep_start + r)
-        return None
-
-    _run_jobs(worker, reps, jobs)
-    return values, np.zeros(reps, dtype=np.int64)
+def pakes_values(law, n, reps, seed, rep_start=0, jobs=1):
+    """One sample of the sum decayed at rate ``law.a`` per replication
+    (always cancellation-free)."""
+    values = _run_jobs(
+        lambda r: simulate_pakes_sum(law.a, law, n, seed, rep_start + r), reps, jobs
+    )
+    return values, np.zeros(values.size, dtype=np.int64)
 
 
 def write_paths_csv(paths, fp):

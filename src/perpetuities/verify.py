@@ -312,9 +312,9 @@ def verify_marginal(
     if rule.chain == "backward":
         values, flags = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
     elif rule.chain == "forward":
-        values, flags = forward_marginal_values(law, n, u, R, seed, x0=0.0, jobs=jobs)
+        values, flags = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
     else:
-        values, flags = pakes_values(law.a, law, n, R, seed, jobs=jobs)
+        values, flags = pakes_values(law, n, R, seed, jobs=jobs)
     values = values / rule.scale(law, n)
     samples, degenerate = _screen_degenerate(tag, values, flags, R)
     D = ks_statistic(samples, rule.limit_cdf(law, u))
@@ -349,7 +349,7 @@ def verify_forward_backward_equality(
     equal streams would make the check vacuously tight.
     """
     n, u, R = _checked_counts(n, u, R)
-    fwd, fwd_flags = forward_marginal_values(law, n, u, R, seed, x0=0.0, jobs=jobs)
+    fwd, fwd_flags = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
     bwd, bwd_flags = backward_marginal_values(
         law, n, u, R, seed, rep_start=R, jobs=jobs
     )
@@ -398,7 +398,7 @@ def verify_functional_sup(
     if rule.chain == "backward":
         values, flags = backward_sup_values(law, n, T, R, seed, jobs=jobs)
     else:
-        values, flags = forward_sup_values(law, n, T, R, seed, x0=0.0, jobs=jobs)
+        values, flags = forward_sup_values(law, n, T, R, seed, jobs=jobs)
     sim = values / rule.scale(law, n)
     sim_good, degenerate = _screen_degenerate(tag, sim, flags, R)
     # the backward and peak paths never decrease; the forward path's sup is its largest mark

@@ -150,7 +150,7 @@ class TestAcceptance:
         law = preset_law("cauchy")
         # the verifier's forward route is the forward chain itself: the
         # marginal values match the path value at t = 1 bitwise
-        vals, _ = forward_marginal_values(law, 50, 1.0, 3, 42, x0=0.0)
+        vals, _ = forward_marginal_values(law, 50, 1.0, 3, 42)
         for r in range(3):
             path = simulate_forward_chain_path(
                 SimScenario(law, 50, T=1.0, x0=0.0, seed=42), rep=r

@@ -171,6 +171,13 @@ class TestMarginalSampler:
         with pytest.raises(ParameterError):
             limit_marginal_values(LimitKind.PEAK, spec, -1)
 
+    # values below 1 start no thread
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_bad_jobs(self, jobs):
+        spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.5)
+        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+            limit_marginal_values(LimitKind.PEAK, spec, 5, jobs=jobs)
+
     def test_jobs_do_not_change_results(self):
         spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.1, seed=35)
         v1 = limit_marginal_values(LimitKind.BACKWARD, spec, 33, jobs=1)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from perpetuities.errors import ParameterError, StatisticalError
@@ -30,20 +32,32 @@ from perpetuities.slog import signed_log_cumsum, signed_log_sum
 HALF = CoefficientLaw("Degenerate", m0=0.5, q0=1.0)
 UNIT = CoefficientLaw("Degenerate", m0=1.0, q0=1.0)
 
-# each batch sampler as a function of the replication count alone
+# each batch sampler at u = T = 1 and seed 0, as a function of n, the
+# replication count and the thread count
 BATCH_SAMPLERS = {
-    "backward_marginal_values": lambda reps: backward_marginal_values(HALF, 10, 1.0, reps, 0),
-    "backward_sup_values": lambda reps: backward_sup_values(HALF, 10, 1.0, reps, 0),
-    "forward_marginal_values": lambda reps: forward_marginal_values(HALF, 10, 1.0, reps, 0),
-    "forward_sup_values": lambda reps: forward_sup_values(HALF, 10, 1.0, reps, 0),
-    "pakes_values": lambda reps: pakes_values(1.0, HALF, 10, reps, 0),
+    "backward_marginal_values":
+        lambda n, reps, jobs=1: backward_marginal_values(HALF, n, 1.0, reps, 0, jobs=jobs),
+    "backward_sup_values":
+        lambda n, reps, jobs=1: backward_sup_values(HALF, n, 1.0, reps, 0, jobs=jobs),
+    "forward_marginal_values":
+        lambda n, reps, jobs=1: forward_marginal_values(HALF, n, 1.0, reps, 0, jobs=jobs),
+    "forward_sup_values":
+        lambda n, reps, jobs=1: forward_sup_values(HALF, n, 1.0, reps, 0, jobs=jobs),
+    "pakes_values": lambda n, reps, jobs=1: pakes_values(HALF, n, reps, 0, jobs=jobs),
 }
+# an n that no sampler takes; a Pakes sum of n + 1 terms also takes n = 0
+BAD_N = [
+    (name, n) for name in BATCH_SAMPLERS for n in (-1, 0, 2.5)
+    if (name, n) != ("pakes_values", 0)
+]
 
 
 class TestScenario:
     def test_validation(self):
         with pytest.raises(ParameterError):
             SimScenario(HALF, n=0)
+        with pytest.raises(ParameterError, match="positive integer"):
+            SimScenario(HALF, n=2.5)
         with pytest.raises(ParameterError):
             SimScenario(HALF, n=10, T=0.0)
         with pytest.raises(ParameterError):
@@ -205,7 +219,7 @@ class TestPakesSum:
     def test_huge_terms_no_overflow(self):
         # heavy tail pushes single weights far beyond float range
         law = preset_law("cauchy")
-        vals, flags = pakes_values(1.0, law, 2000, 50, seed=17)
+        vals, flags = pakes_values(law, 2000, 50, seed=17)
         assert np.all(np.isfinite(vals))
         assert flags.sum() == 0
 
@@ -222,6 +236,8 @@ class TestPakesSum:
             simulate_pakes_sum(0.0, UNIT, 5, seed=0)
         with pytest.raises(ParameterError):
             simulate_pakes_sum(1.0, UNIT, -1, seed=0)
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            simulate_pakes_sum(1.0, UNIT, 2.5, seed=0)
 
 
 class TestBatchSamplers:
@@ -285,7 +301,19 @@ class TestBatchSamplers:
     @pytest.mark.parametrize("name", BATCH_SAMPLERS)
     def test_rejects_bad_replication_count(self, name, reps):
         with pytest.raises(ParameterError, match="replication count"):
-            BATCH_SAMPLERS[name](reps)
+            BATCH_SAMPLERS[name](10, reps)
+
+    @pytest.mark.parametrize("name, n", BAD_N)
+    def test_rejects_bad_n(self, name, n):
+        with pytest.raises(ParameterError, match="n must be a"):
+            BATCH_SAMPLERS[name](n, 3)
+
+    # values below 1 start no thread
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("name", BATCH_SAMPLERS)
+    def test_rejects_bad_jobs(self, name, jobs):
+        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+            BATCH_SAMPLERS[name](10, 3, jobs)
 
     def test_no_degenerate_samples_for_continuous_law(self):
         # condition: continuous Q laws never hit flagged cancellation
@@ -345,8 +373,7 @@ class TestSharedBatches:
             backward_marginal_values(self.LAW, 40, 1.0, 6, seed=62)
             backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61, rep_start=6)
             forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-            forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61, x0=2.0)
-        assert len(draws) == 36
+        assert len(draws) == 30
 
     def test_returned_arrays_are_fresh(self):
         with shared_batches():
@@ -423,6 +450,21 @@ class TestBackwardEndpoints:
             sup, _ = backward_sup_values(law, 40, 1.0, 6, seed=61)
         assert len(cumsums) == 6  # one prefix scan per replication
         assert np.all(sup >= last)
+
+
+class TestRunJobs:
+    """The replication map equals the serial loop for every thread split."""
+
+    # reps < jobs included; jobs stays small
+    @settings(max_examples=60, deadline=None)
+    @given(reps=st.integers(1, 40), jobs=st.integers(1, 8), tuple_rows=st.booleans())
+    def test_equals_the_serial_map(self, reps, jobs, tuple_rows):
+        def one(r):
+            return (r, math.sqrt(r), -r) if tuple_rows else r + 0.25
+        want = np.array([one(r) for r in range(reps)])
+        got = simulate_module._run_jobs(one, reps, jobs)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPathAsymptotics:

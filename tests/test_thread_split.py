@@ -1,0 +1,50 @@
+"""The package splits work across threads in one function only.
+
+Static check with the standard library's ``ast``.  Every batch sampler is
+a per-replication function mapped by ``simulate._run_jobs``; a second
+function that reads ``ThreadPoolExecutor`` would be a second replication
+loop, with its own chunking and its own argument checks.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "perpetuities"
+
+
+def thread_pool_users(source: str):
+    """The innermost enclosing function (None at module level) of each
+    read of ``ThreadPoolExecutor``, bare or as an attribute."""
+    users = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor") or (
+            isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor"
+        ):
+            users.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return users
+
+
+def test_detects_every_user():
+    source = (
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures as cf\n"
+        "POOL = ThreadPoolExecutor\n"
+        "def a():\n    ThreadPoolExecutor(2)\n"
+        "def b():\n    def inner():\n        cf.ThreadPoolExecutor(2)\n"
+    )
+    assert thread_pool_users(source) == [None, "a", "inner"]
+
+
+def test_one_function_starts_threads():
+    users = [
+        (path.stem, scope) for path in sorted(SRC.glob("*.py"))
+        for scope in thread_pool_users(path.read_text(encoding="utf-8"))
+    ]
+    assert users == [("simulate", "_run_jobs")]

@@ -274,7 +274,7 @@ class TestForwardBackwardEquality:
 
     def test_disjoint_streams_used(self):
         rep = verify_forward_backward_equality(CAUCHY, 300, 1.0, 150, seed=21)
-        fwd, _ = forward_marginal_values(CAUCHY, 300, 1.0, 150, seed=21, x0=0.0)
+        fwd, _ = forward_marginal_values(CAUCHY, 300, 1.0, 150, seed=21)
         bwd, _ = backward_marginal_values(CAUCHY, 300, 1.0, 150, seed=21, rep_start=150)
         assert rep.D == two_sample_ks(fwd, bwd)
 
