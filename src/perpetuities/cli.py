@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, ParameterError, StatisticalError
+from .errors import ConfigurationError, ParameterError, StatisticalError, whole_number
 from .functionals import (
     bundled_instance,
     check_conditions,
@@ -68,6 +68,10 @@ _LAW_OVERRIDE_KEYS = ("a", "c", "alpha", "beta", "m0", "q0")
 
 
 class _CliParser(argparse.ArgumentParser):
+    # a flag name must match exactly: a prefix of one would run as that flag
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on usage problems; the contract here
     # reserves 2 for failing verifications, so route misuse through the
     # configuration-error path instead
@@ -79,12 +83,9 @@ class _CliParser(argparse.ArgumentParser):
 def _int_at_least(low):
     def parse(text):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+            return whole_number("value", int(text), low)
+        except ValueError:  # from int() or whole_number
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}") from None
     return parse
 
 
@@ -96,10 +97,6 @@ def _finite_floats(text):
     if not vals or not all(math.isfinite(v) for v in vals):
         raise argparse.ArgumentTypeError(f"must list finite values, got {text!r}")
     return vals
-
-
-def _rounded_ints(text):
-    return [int(round(v)) for v in _finite_floats(text)]
 
 
 def _add_law_flags(p):
@@ -170,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem21", help="condition report and decay table")
     _add_run_flags(p, "T", "seed", T=None)  # None: T falls back to the instance horizon
     p.add_argument("--instance", choices=instance_names(), default="mixed-sign")
-    p.add_argument("--ns", type=_rounded_ints,
+    p.add_argument("--ns", type=_finite_floats,
                    help="comma-separated stage sizes")
     p.add_argument("--gamma", type=float)
 
@@ -196,7 +193,7 @@ def _config_flags(args) -> list:
         raise ConfigurationError("config file must hold a JSON object")
     flags = []
     for key, value in data.items():
-        # an exact flag name only: argparse would accept a prefix of one
+        # reported as a config key, not as the flag it would become
         if key == "config" or key.replace("-", "_") not in vars(args):
             raise ConfigurationError(f"unknown config key {key!r}")
         if isinstance(value, list):
@@ -373,6 +370,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_theorem21(args) -> int:
     inst = bundled_instance(args.instance, ns=args.ns, seed=args.seed)
+    if args.ns is not None:
+        args.ns = list(inst.ns)  # recorded as whole numbers, so 1e3 reads 1000
     args.T = float(inst.f_limit.horizon if args.T is None else args.T)
     if args.gamma is None:
         args.gamma = default_gamma(inst.nu_limit)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, whole_number
 from .paths import (
     PointMeasure,
     StepPath,
@@ -361,9 +361,9 @@ def bundled_instance(name: str, ns=None, seed: int = 0) -> ConvergenceInstance:
     """
     if ns is None:
         ns = DEFAULT_STAGES
-    ns = tuple(int(n) for n in ns)
-    if len(ns) == 0 or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ParameterError("stage list must be positive and strictly increasing")
+    ns = tuple(whole_number("stage size", n) for n in ns)
+    if len(ns) == 0 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ParameterError("stage list must be nonempty and strictly increasing")
 
     if name == "mixed-sign":
         f_seq, nu_seq = [], []

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .errors import ConfigurationError, ParameterError, UnsupportedFamilyError
+from .errors import ConfigurationError, ParameterError, UnsupportedFamilyError, whole_number
 
 FAMILIES = (
     "CauchyTail",
@@ -132,7 +132,7 @@ def quantile_log_q(law: CoefficientLaw, u):
     """Inverse of tail_Q: the x with tail_Q(x) = u, for u in (0, 1];
     ParameterError if x overflows the float range."""
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0) | (u > 1)):
+    if not np.all((u > 0) & (u <= 1)):
         raise ParameterError("tail probability must lie in (0, 1]")
     with np.errstate(over="ignore"):
         if law.family == "CauchyTail":
@@ -158,9 +158,7 @@ def draw_log_mq(law: CoefficientLaw, rng, size: int):
     is consumed in a fixed order (M magnitudes, M signs, Q magnitudes,
     Q signs), which downstream replication streams rely on.
     """
-    size = int(size)
-    if size < 0:
-        raise ParameterError("size must be nonnegative")
+    size = whole_number("size", size, low=0)
     if law.family == "Degenerate":
         sign_m = np.full(size, int(np.sign(law.m0)))
         log_m = np.full(size, math.log(abs(law.m0)))
@@ -203,7 +201,7 @@ def compute_A(law: CoefficientLaw, x):
     """A(x) = E min(log^-|M|, x), the truncated mean of the contraction
     part; equals the integral of P{log^-|M| > u} over [0, x]."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise ParameterError("truncation point must be positive")
     if law.family == "HeavyNegM":
         b = law.beta
@@ -224,10 +222,7 @@ def compute_bn(law: CoefficientLaw, n: int) -> float:
         raise UnsupportedFamilyError(
             f"{law.family} has no regularly varying log|Q| tail"
         )
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    return quantile_log_q(law, 1.0 / n)
+    return quantile_log_q(law, 1.0 / whole_number("n", n))
 
 
 def _log_q_density_logscale(law: CoefficientLaw, w):
@@ -251,7 +246,7 @@ def stability_integral_truncated(law: CoefficientLaw, level: float) -> float:
     The full integral (level = infinity) is finite exactly when the
     perpetuity converges, given a contractive M.
     """
-    if level <= 0:
+    if not level > 0:
         raise ParameterError("truncation level must be positive")
     if law.family == "Degenerate":
         v = math.log(abs(law.q0))

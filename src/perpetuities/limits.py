@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole_number
 from .paths import PointMeasure, StepPath, _collapse_running
 from .simulate import _run_jobs, replication_rng
 
@@ -60,7 +60,7 @@ class PrmSpec:
             if not (np.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be positive and finite, got {v}")
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, low=0))
 
     @property
     def mean_count(self) -> float:

@@ -52,7 +52,7 @@ class StepPath:
         if t.size:
             if not (t[0] > 0 and t[-1] <= T):
                 raise ParameterError("jump times must lie in (0, horizon]")
-            if np.any(np.diff(t) <= 0):
+            if not np.all(np.diff(t) > 0):
                 raise ParameterError("jump times must be strictly increasing")
         if self.values.size != t.size + 1:
             raise ParameterError(
@@ -66,7 +66,7 @@ class StepPath:
 
     def values_at(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if np.any((ts < 0) | (ts > self.horizon)):
+        if not np.all((ts >= 0) & (ts <= self.horizon)):
             raise ParameterError("evaluation time outside [0, horizon]")
         idx = np.searchsorted(self.times, ts, side="right")
         return self.values[idx]
@@ -186,7 +186,7 @@ def point_match_distance(nu1: PointMeasure, nu2: PointMeasure, delta: float) -> 
     counts differ the distance is infinite; otherwise it is the minimum over
     bijections of the maximal matched cost |dt| + |dy|.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ParameterError("delta must be nonnegative")
     r1, r2 = nu1.restrict(delta), nu2.restrict(delta)
     if r1.count != r2.count:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StatisticalError
+from .errors import ParameterError, StatisticalError, whole_number
 from .laws import CoefficientLaw, draw_log_mq
 from .paths import StepPath
 from .slog import pool_logsumexp, sign_pools, signed_log_cumsum, signed_log_diff
@@ -85,8 +85,7 @@ class SimScenario:
 
 def _index_at(n: int, u: float) -> int:
     """[nu] + 1, the number of iterates up to time u; n is a positive integer."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    n = whole_number("n", n)
     if not (u > 0 and np.isfinite(u)):
         raise ParameterError(f"evaluation time must be positive, got {u}")
     return int(math.floor(n * u)) + 1
@@ -94,7 +93,8 @@ def _index_at(n: int, u: float) -> int:
 
 def replication_rng(seed: int, rep: int):
     """The dedicated generator stream of one replication."""
-    return np.random.default_rng([int(seed), int(rep)])
+    seed, rep = whole_number("seed", seed, low=0), whole_number("rep", rep, low=0)
+    return np.random.default_rng([seed, rep])
 
 
 def _chain_terms(sign_m, log_m, sign_q, log_q, x0: float = 0.0, forward: bool = False):
@@ -163,14 +163,14 @@ def simulate_forward_chain_path(s: SimScenario, rep: int = 0) -> StepPath:
     return _emit_path(s, mag, np.sum(cancelled), "forward", rep)
 
 
-def simulate_pakes_sum(a: float, law: CoefficientLaw, n: int, seed: int, rep: int = 0) -> float:
-    """log of sum_{k=0}^{n} e^{-ak} |Q_{k+1}|, via one positive log-space pool."""
-    if not (a > 0 and np.isfinite(a)):
-        raise ParameterError(f"decay rate must be positive, got {a}")
-    if not (n >= 0 and float(n).is_integer()):
-        raise ParameterError(f"n must be a nonnegative integer, got {n}")
-    _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), int(n) + 1)
-    return pool_logsumexp(-a * np.arange(n + 1) + log_q)
+def simulate_pakes_sum(law: CoefficientLaw, n: int, seed: int, rep: int = 0) -> float:
+    """log of sum_{k=0}^{n} e^{-ak} |Q_{k+1}| at a = law.a, via one positive log-space pool."""
+    # Degenerate and HeavyNegM laws leave a unchecked
+    if not (law.a > 0 and np.isfinite(law.a)):
+        raise ParameterError(f"decay rate must be positive, got {law.a}")
+    n = whole_number("n", n, low=0)
+    _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), n + 1)
+    return pool_logsumexp(-law.a * np.arange(n + 1) + log_q)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,8 @@ def shared_batches():
 
 def _run_jobs(one, reps, jobs):
     """``np.array([one(r) for r in range(reps)])``, split across ``jobs`` threads."""
-    reps = int(reps)
-    if reps < 1:
-        raise ParameterError(f"replication count must be positive, got {reps}")
-    if not jobs >= 1:
-        raise ParameterError(f"jobs must be at least 1, got {jobs}")
+    reps = whole_number("replication count", reps)
+    jobs = whole_number("jobs", jobs)
     step = math.ceil(reps / jobs)
     chunks = [range(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
     if len(chunks) == 1:
@@ -214,10 +211,15 @@ def _batch(law, count, reps, seed, rep_start, jobs, forward=False):
     (last, sup, endpoint flag, prefix flag) per replication.
 
     Inside ``shared_batches()`` an equal request returns the table
-    computed first, so the samplers hand out column copies.
+    computed first, so the samplers hand out column copies.  The key
+    fields and ``jobs`` are checked first, so a hit rejects what a miss
+    rejects.
     """
     memo = _SHARED.get()
-    key = (law, int(count), int(reps), int(seed), int(rep_start), bool(forward))
+    key = (law, count, whole_number("replication count", reps),
+           whole_number("seed", seed, low=0), whole_number("rep_start", rep_start, low=0),
+           bool(forward))
+    whole_number("jobs", jobs)
     if memo is not None and key in memo:
         return memo[key]
 
@@ -293,7 +295,7 @@ def pakes_values(law, n, reps, seed, rep_start=0, jobs=1):
     """One sample of the sum decayed at rate ``law.a`` per replication
     (always cancellation-free)."""
     values = _run_jobs(
-        lambda r: simulate_pakes_sum(law.a, law, n, seed, rep_start + r), reps, jobs
+        lambda r: simulate_pakes_sum(law, n, seed, rep_start + r), reps, jobs
     )
     return values, np.zeros(values.size, dtype=np.int64)
 

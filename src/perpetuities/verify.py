@@ -17,7 +17,7 @@ import types
 import numpy as np
 from scipy.special import kolmogi
 
-from .errors import ConfigurationError, ParameterError, StatisticalError
+from .errors import ConfigurationError, ParameterError, StatisticalError, whole_number
 from .laws import CoefficientLaw, compute_bn
 from .limits import (
     LimitKind,
@@ -146,7 +146,7 @@ def ks_statistic(samples, cdf) -> float:
     probs = np.asarray(cdf(arr), dtype=float).ravel()
     if probs.shape != arr.shape:
         raise ParameterError("cdf must return one probability per sample")
-    if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
+    if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
         raise ParameterError("cdf must map into [0, 1]")
     if np.any(np.diff(probs) < -1e-12):
         raise ParameterError("cdf must be nondecreasing")
@@ -168,9 +168,7 @@ def two_sample_ks(first, second) -> float:
 
 def ks_threshold(reps: int, level: float = DEFAULT_KS_LEVEL) -> float:
     """Asymptotic one-sample critical value at the given level."""
-    reps = int(reps)
-    if reps <= 0:
-        raise ParameterError(f"replication count must be positive, got {reps}")
+    reps = whole_number("replication count", reps)
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     return float(kolmogi(level)) / math.sqrt(reps)
@@ -180,9 +178,8 @@ def two_sample_threshold(
     n_first: int, n_second: int, level: float = DEFAULT_TWO_SAMPLE_LEVEL
 ) -> float:
     """Two-sample critical value: c(level) * sqrt((n + m) / (n m))."""
-    n_first, n_second = int(n_first), int(n_second)
-    if n_first <= 0 or n_second <= 0:
-        raise ParameterError("both sample sizes must be positive")
+    n_first = whole_number("first sample size", n_first)
+    n_second = whole_number("second sample size", n_second)
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     ratio = (n_first + n_second) / (n_first * n_second)
@@ -216,8 +213,8 @@ class VerificationReport:
             raise ParameterError(f"KS statistic must lie in [0, 1], got {self.D}")
         if not (np.isfinite(self.threshold) and self.threshold > 0):
             raise ParameterError(f"threshold must be positive, got {self.threshold}")
-        if self.degenerate < 0 or self.R <= 0:
-            raise ParameterError("counts must be nonnegative with R positive")
+        whole_number("R", self.R)
+        whole_number("degenerate count", self.degenerate, low=0)
 
     @property
     def passed(self) -> bool:
@@ -258,18 +255,6 @@ def write_reports_csv(reports, fp, config: dict | None = None) -> None:
         writer.writerow(r.to_dict().values())
 
 
-def _checked_counts(n: int, u: float, R: int):
-    n, R = int(n), int(R)
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    if R < 100:
-        raise ParameterError(f"need at least 100 replications, got {R}")
-    u = float(u)
-    if not (np.isfinite(u) and u > 0):
-        raise ParameterError(f"evaluation time must be positive, got {u}")
-    return n, u, R
-
-
 def _screen_degenerate(tag, values, flags, R):
     good = flags == 0
     degenerate = int(R - int(np.sum(good)))
@@ -303,7 +288,7 @@ def verify_marginal(
     if rule is None:
         raise ConfigurationError(f"{tag} is not a marginal verification tag")
     rule.check_family(law)
-    n, u, R = _checked_counts(n, u, R)
+    n, R = whole_number("n", n), whole_number("R", R, low=100)
     if rule.chain is None and u != 1.0:
         raise ConfigurationError(
             f"{tag} checks the n-th indexed sum; its limit has no time "
@@ -348,7 +333,7 @@ def verify_forward_backward_equality(
     agree in law. The two sides use disjoint replication streams;
     equal streams would make the check vacuously tight.
     """
-    n, u, R = _checked_counts(n, u, R)
+    n, R = whole_number("n", n), whole_number("R", R, low=100)
     fwd, fwd_flags = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
     bwd, bwd_flags = backward_marginal_values(
         law, n, u, R, seed, rep_start=R, jobs=jobs
@@ -394,7 +379,7 @@ def verify_functional_sup(
     if rule is None or rule.chain is None:
         raise ConfigurationError(f"{tag} has no path-functional form")
     rule.check_family(law)
-    n, T, R = _checked_counts(n, T, R)
+    n, R = whole_number("n", n), whole_number("R", R, low=100)
     if rule.chain == "backward":
         values, flags = backward_sup_values(law, n, T, R, seed, jobs=jobs)
     else:

@@ -79,6 +79,7 @@ class TestDomainChecks:
         ("simulate", "--n", "5", "--R", "1", "--jobs", "-2"),
         ("limits", "cdf", "--kind", "thm11", "--ca", "1", "--xs", "abc"),
         ("theorem21", "--ns", "10,abc"),
+        ("theorem21", "--ns", "10.4,20.6"),
         ("verify", "--gamma", "0.1", "--n", "50", "--R", "100"),
         ("verify", "--R", "abc"),
         ("verify", "--theorem", "functionalsup", "--law", "convergent", "--n", "50",
@@ -88,7 +89,7 @@ class TestDomainChecks:
         ("verify", "--theorem", "thm11-backward", "--variant", "nonsense", "--n", "50",
          "--R", "100"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
-            "verify-gamma", "R-abc", "functionalsup-no-variant", "seed-negative",
+            "ns-fraction", "verify-gamma", "R-abc", "functionalsup-no-variant", "seed-negative",
             "limits-seed-negative", "variant-unknown"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -115,9 +116,15 @@ class TestUnreadFlags:
         (("limits", "cdf", "--ca", "1", "--xs", "1"), {"seed": 1}),
         (("limits", "path", "--R", "1"), {"u": 0.5}),
         (("theorem21",), {"R": 5}),
+        (("theorem21", "--instance", "single-atom", "--n", "10.5"), None),
+        (("verify", "--theorem", "thm11-backward", "--n", "50", "--R", "100", "--thr", "0.9"),
+         None),
+        (("simulate", "--n", "5", "--R", "1", "--ch", "forward"), None),
     ], ids=["simulate-u", "cdf-seed", "cdf-grid-step", "prm-kind", "path-n",
             "theorem21-R", "theorem21-threshold", "classify-n", "classify-config-n",
-            "cdf-config-seed", "path-config-u", "theorem21-config-R"])
+            "cdf-config-seed", "path-config-u", "theorem21-config-R",
+            "theorem21-prefix-of-ns", "verify-prefix-of-threshold",
+            "simulate-prefix-of-chain"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv, doc):
         if doc is not None:
             cfg = tmp_path / "run.json"
@@ -404,6 +411,14 @@ class TestTheorem21Command:
         decay = (tmp_path / "theorem21_decay.csv").read_text().splitlines()[2:]
         ds = [float(r.split(",")[2]) for r in decay]
         assert len(ds) == 3 and ds[2] < ds[1] < ds[0]
+
+    def test_stage_sizes_in_exponent_form(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "theorem21", "--instance", "single-atom", "--ns", "1e1,2e1",
+                         "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "theorem21_decay.csv").read_text().splitlines()
+        assert json.loads(lines[0].split("# config:")[1])["ns"] == [10, 20]
+        assert [row.split(",")[0] for row in lines[2:]] == ["10", "20"]
 
     def test_unknown_instance(self, capsys):
         assert run(capsys, "theorem21", "--instance", "nope")[0] == 1

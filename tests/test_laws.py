@@ -167,10 +167,9 @@ class TestTailQ:
                 quantile_log_q(SLOW_VAR, 1e-310)
 
     def test_quantile_rejects_bad_probability(self):
-        with pytest.raises(ParameterError):
-            quantile_log_q(RANDOM_FAMILIES[0], 0.0)
-        with pytest.raises(ParameterError):
-            quantile_log_q(RANDOM_FAMILIES[0], 1.5)
+        for u in (0.0, 1.5, math.nan):
+            with pytest.raises(ParameterError, match="tail probability"):
+                quantile_log_q(RANDOM_FAMILIES[0], u)
 
 
 class TestSampling:
@@ -239,8 +238,9 @@ class TestComputeA:
             assert compute_A(law, 1e-12) < 1e-11
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            compute_A(RANDOM_FAMILIES[0], 0.0)
+        for x in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                compute_A(RANDOM_FAMILIES[0], x)
 
     def test_matches_quadrature(self):
         laws = RANDOM_FAMILIES + [CoefficientLaw("Degenerate", m0=0.5, q0=1.0)]
@@ -344,6 +344,11 @@ class TestStabilityIntegral:
         expect = 2.0 / compute_A(law, 2.0)
         np.testing.assert_allclose(stability_integral_truncated(law, 100.0), expect)
         assert stability_integral_truncated(CoefficientLaw("Degenerate", m0=0.5, q0=0.5), 100.0) == 0.0
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_level(self, level):
+        with pytest.raises(ParameterError):
+            stability_integral_truncated(preset_law("cauchy"), level)
 
 
 class TestClassifyRegime:

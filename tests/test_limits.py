@@ -175,7 +175,7 @@ class TestMarginalSampler:
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_bad_jobs(self, jobs):
         spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.5)
-        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+        with pytest.raises(ParameterError, match="jobs must be a positive integer"):
             limit_marginal_values(LimitKind.PEAK, spec, 5, jobs=jobs)
 
     def test_jobs_do_not_change_results(self):

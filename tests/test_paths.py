@@ -142,10 +142,14 @@ class TestStepPathBasics:
             p.value_at(1.5)
         with pytest.raises(ParameterError):
             p.value_at(-0.1)
+        with pytest.raises(ParameterError):
+            p.value_at(np.nan)
 
     def test_invalid_construction(self):
         with pytest.raises(ParameterError):
             StepPath(1.0, [0.5, 0.5], [0.0, 1.0, 2.0])
+        with pytest.raises(ParameterError):
+            StepPath(1.0, [0.2, np.nan, 0.5], [0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ParameterError):
             StepPath(1.0, [0.0], [0.0, 1.0])
         with pytest.raises(ParameterError):
@@ -338,6 +342,14 @@ class TestPointMatchDistance:
         nu1 = PointMeasure(1.0, [0.1, 0.5], [1.0, 1.0])
         nu2 = PointMeasure(1.0, [0.1, 0.5, 0.9], [1.0, 1.0, 1.0])
         assert point_match_distance(nu1, nu2, 0.5) == np.inf
+
+    @pytest.mark.parametrize("delta", [-0.1, np.nan])
+    def test_rejects_bad_delta(self, delta):
+        # NaN would discard every atom and report two unequal measures as equal
+        nu1 = PointMeasure(1.0, [0.1, 0.5], [1.0, 1.0])
+        nu2 = PointMeasure(1.0, [0.1, 0.5, 0.9], [1.0, 1.0, 1.0])
+        with pytest.raises(ParameterError, match="delta"):
+            point_match_distance(nu1, nu2, delta)
 
     def test_single_pair(self):
         nu1 = PointMeasure(1.0, [0.1], [1.0])

@@ -207,12 +207,13 @@ class TestForwardFlags:
 
 class TestPakesSum:
     def test_geometric(self):
-        v = simulate_pakes_sum(math.log(2.0), UNIT, 20, seed=0)
+        law = CoefficientLaw("Degenerate", m0=1.0, q0=1.0, a=math.log(2.0))
+        v = simulate_pakes_sum(law, 20, seed=0)
         np.testing.assert_allclose(v, math.log(2.0 * (1.0 - 2.0 ** -21)), rtol=1e-12)
 
     def test_single_term(self):
         law = preset_law("cauchy")
-        v = simulate_pakes_sum(1.0, law, 0, seed=13)
+        v = simulate_pakes_sum(law, 0, seed=13)
         _, _, _, lq = draw_log_mq(law, replication_rng(13, 0), 1)
         np.testing.assert_allclose(v, lq[0], rtol=1e-12)
 
@@ -229,15 +230,15 @@ class TestPakesSum:
         for seed in (0, 7, 19):
             _, _, _, lq = draw_log_mq(law, replication_rng(seed, 2), 301)
             want = signed_log_sum(np.ones(301), -law.a * np.arange(301) + lq).logmag
-            assert simulate_pakes_sum(law.a, law, 300, seed, rep=2) == want
+            assert simulate_pakes_sum(law, 300, seed, rep=2) == want
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            simulate_pakes_sum(0.0, UNIT, 5, seed=0)
+            simulate_pakes_sum(CoefficientLaw("Degenerate", m0=1.0, q0=1.0, a=0.0), 5, seed=0)
         with pytest.raises(ParameterError):
-            simulate_pakes_sum(1.0, UNIT, -1, seed=0)
+            simulate_pakes_sum(UNIT, -1, seed=0)
         with pytest.raises(ParameterError, match="nonnegative integer"):
-            simulate_pakes_sum(1.0, UNIT, 2.5, seed=0)
+            simulate_pakes_sum(UNIT, 2.5, seed=0)
 
 
 class TestBatchSamplers:
@@ -312,7 +313,7 @@ class TestBatchSamplers:
     @pytest.mark.parametrize("jobs", [0, -1])
     @pytest.mark.parametrize("name", BATCH_SAMPLERS)
     def test_rejects_bad_jobs(self, name, jobs):
-        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+        with pytest.raises(ParameterError, match="jobs must be a positive integer"):
             BATCH_SAMPLERS[name](10, 3, jobs)
 
     def test_no_degenerate_samples_for_continuous_law(self):

@@ -85,6 +85,8 @@ class TestKsStatistic:
             ks_statistic([0.2, 0.4], lambda x: -x)
         with pytest.raises(ParameterError):
             ks_statistic([0.2, 0.6], lambda x: 2.0 * x)
+        with pytest.raises(ParameterError):
+            ks_statistic([0.2, 0.6], lambda x: np.full(x.shape, np.nan))
 
 
 class TestTwoSampleKs:
