@@ -11,7 +11,6 @@ unexpected exception, 2 for a failing or degenerate verification.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -48,7 +47,6 @@ from .limits import (
 )
 from .simulate import (
     SimScenario,
-    shared_batches,
     simulate_forward_chain_path,
     simulate_perpetuity_path,
     write_paths_csv,
@@ -60,6 +58,7 @@ from .verify import (
     verify_forward_backward_equality,
     verify_functional_sup,
     verify_marginal,
+    verify_suite,
     write_reports_csv,
     write_reports_json,
 )
@@ -207,12 +206,8 @@ def _resolve_law(args, default_preset=None):
     name = args.law or default_preset
     if name is None:
         raise ConfigurationError("a coefficient law is required; pass --law")
-    overrides = {}
-    for key in _LAW_OVERRIDE_KEYS:
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    return preset_law(name, **overrides)
+    # preset_law skips the overrides left unset (None)
+    return preset_law(name, **{key: getattr(args, key) for key in _LAW_OVERRIDE_KEYS})
 
 
 def _resolved(args, law=None) -> dict:
@@ -311,12 +306,15 @@ def _cmd_limits(args) -> int:
 
 
 def _run_verification(args, law, tag):
+    """The reports of one check, or of the full suite when ``tag`` is None."""
     common = dict(seed=args.seed, threshold=args.threshold, jobs=args.jobs)
+    if tag is None:
+        return verify_suite(law, args.n, args.u, args.T, args.R, variant=args.variant, **common)
     if tag == "ForwardBackwardEquality":
-        return verify_forward_backward_equality(law, args.n, args.u, args.R, **common)
+        return [verify_forward_backward_equality(law, args.n, args.u, args.R, **common)]
     if tag == "FunctionalSup":
-        return verify_functional_sup(args.variant, law, args.n, args.T, args.R, **common)
-    return verify_marginal(tag, law, args.n, args.u, args.R, **common)
+        return [verify_functional_sup(args.variant, law, args.n, args.T, args.R, **common)]
+    return [verify_marginal(tag, law, args.n, args.u, args.R, **common)]
 
 
 def _cmd_verify(args) -> int:
@@ -324,36 +322,18 @@ def _cmd_verify(args) -> int:
     variant = None if args.variant is None else canonical_tag(args.variant)
     preset = TAG_RULES[tag].preset if tag in TAG_RULES else "cauchy"
     law = _resolve_law(args, preset)
-    if tag == "FunctionalSup" or tag is None:
-        if variant is None:
-            fallback = compatible_tags(law)
-            variant = fallback[0] if fallback else None
-        if tag == "FunctionalSup" and variant is None:
-            raise ConfigurationError(
-                f"no marginal tag covers family {law.family}; "
-                "FunctionalSup needs --variant"
-            )
-    else:
+    if tag not in (None, "FunctionalSup"):
         variant = None  # a marginal or equality check reads no variant
+    elif variant is None:
+        variant = next(iter(compatible_tags(law)), None)
+    if tag == "FunctionalSup" and variant is None:
+        raise ConfigurationError(
+            f"no marginal tag covers family {law.family}; FunctionalSup needs --variant"
+        )
     args.theorem, args.variant = tag, variant
     args.T = args.u if args.T is None else args.T
 
-    if tag is not None:
-        tags = [tag]
-    else:
-        # full suite for this family: all compatible marginals (the
-        # chainless sums have no time parameter, so only at u = 1) plus the
-        # law-agnostic equality check and one functional-sup variant
-        tags = [t for t in compatible_tags(law) if TAG_RULES[t].chain or args.u == 1.0]
-        tags.append("ForwardBackwardEquality")
-        if variant in TAG_RULES and TAG_RULES[variant].chain:
-            tags.append("FunctionalSup")
-    # the suite reads some batches twice (Thm11-forward and the equality
-    # check, Thm11-backward and its sup), so they share one computation; a
-    # single check has nothing to share and skips the prefix tables
-    with shared_batches() if len(tags) > 1 else contextlib.nullcontext():
-        reports = [_run_verification(args, law, t) for t in tags]
-
+    reports = _run_verification(args, law, tag)
     config = _resolved(args, law)
     with _out_file(args, "verify_reports.json") as fh:
         write_reports_json(reports, fh, config=config)

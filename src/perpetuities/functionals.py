@@ -201,17 +201,16 @@ def check_conditions(inst: ConvergenceInstance, T: float, gamma: float) -> Condi
 
     # no mass at the time origin, and every partition cell charged
     if t0.size and t0[0] == 0.0:
-        results.append(ConditionResult("support-charged", FAIL, "atom at time zero"))
+        status, detail = FAIL, "atom at time zero"
     else:
         edges = np.linspace(0.0, T, PARTITION_CELLS + 1)
         hit = [bool(np.any((t0 > lo) & (t0 < hi))) for lo, hi in zip(edges, edges[1:])]
         if all(hit):
-            detail = f"all {PARTITION_CELLS} cells of (0, {T}) charged"
-            results.append(ConditionResult("support-charged", PASS, detail))
+            status, detail = PASS, f"all {PARTITION_CELLS} cells of (0, {T}) charged"
         else:
-            empty = int(sum(1 for h in hit if not h))
-            detail = f"{empty} empty cells; a finite truncation cannot certify density"
-            results.append(ConditionResult("support-charged", UNDECIDABLE, detail))
+            status = UNDECIDABLE
+            detail = f"{hit.count(False)} empty cells; a finite truncation cannot certify density"
+    results.append(ConditionResult("support-charged", status, detail))
 
     # atom times pairwise distinct
     if np.unique(nu0.times).size == nu0.count:
@@ -222,9 +221,7 @@ def check_conditions(inst: ConvergenceInstance, T: float, gamma: float) -> Condi
     # record levels separated, and small-mark records reach above zero;
     # only the mixed-sign case needs either clause
     if not inst.mixed_signs:
-        results.append(
-            ConditionResult("level-separation", PASS, "single-signed input, not required")
-        )
+        status, detail = PASS, "single-signed input, not required"
     else:
         levels = inst.f_limit.values_at(t0) + y0
         gaps = np.diff(np.sort(levels))
@@ -239,34 +236,32 @@ def check_conditions(inst: ConvergenceInstance, T: float, gamma: float) -> Condi
                 status, detail = PASS, f"levels separated; small-mark sup {np.max(small):.3g} > 0"
             else:
                 status, detail = FAIL, f"small-mark sup {np.max(small):.3g} <= 0"
-        results.append(ConditionResult("level-separation", status, detail))
+    results.append(ConditionResult("level-separation", status, detail))
 
     # log atom count shrinks against c_n
     counts = [int(np.sum(seq.measure.times <= T)) for seq in inst.nu_seq]
     ratios = [np.log(max(cnt, 1)) / c for cnt, c in zip(counts, inst.c_seq)]
     if len(ratios) < 2:
-        results.append(ConditionResult("count-growth", UNDECIDABLE, "fewer than two stages"))
+        status, detail = UNDECIDABLE, "fewer than two stages"
     elif ratios[-1] <= GROWTH_THRESHOLD and ratios[-1] <= ratios[0] + 1e-12:
-        detail = f"log-count ratio {ratios[0]:.3g} -> {ratios[-1]:.3g}"
-        results.append(ConditionResult("count-growth", PASS, detail))
+        status, detail = PASS, f"log-count ratio {ratios[0]:.3g} -> {ratios[-1]:.3g}"
     else:
+        status = FAIL
         detail = f"log-count ratio ends at {ratios[-1]:.3g} (threshold {GROWTH_THRESHOLD})"
-        results.append(ConditionResult("count-growth", FAIL, detail))
+    results.append(ConditionResult("count-growth", status, detail))
 
     # stage paths approach the limit path
     dists = [
         j1_distance(restrict_path(f, T), restrict_path(inst.f_limit, T))
         for f in inst.f_seq
     ]
-    status, detail = _trend_status(dists, "path distance")
-    results.append(ConditionResult("path-convergence", status, detail))
+    results.append(ConditionResult("path-convergence", *_trend_status(dists, "path distance")))
 
     # stage measures approach the limit measure above the gamma level
-    dists = [
-        point_match_distance(seq.measure, nu0, gamma) for seq in inst.nu_seq
-    ]
-    status, detail = _trend_status(dists, "atom matching distance")
-    results.append(ConditionResult("measure-convergence", status, detail))
+    dists = [point_match_distance(seq.measure, nu0, gamma) for seq in inst.nu_seq]
+    results.append(
+        ConditionResult("measure-convergence", *_trend_status(dists, "atom matching distance"))
+    )
 
     return ConditionReport(tuple(results))
 

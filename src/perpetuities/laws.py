@@ -188,13 +188,10 @@ def mean_log_m(law: CoefficientLaw) -> float:
     return -law.a
 
 
-def _phi(t):
-    return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-
-
 def _h(t):
-    # antiderivative of the standard normal CDF: h'(t) = ndtr(t)
-    return t * ndtr(t) + _phi(t)
+    # antiderivative of the standard normal CDF: h'(t) = ndtr(t); the
+    # second term is the normal density
+    return t * ndtr(t) + np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
 def compute_A(law: CoefficientLaw, x):

@@ -125,13 +125,6 @@ def extremal_path(pm: PointMeasure, kind: LimitKind, grid_step: float | None = N
     return _collapse_running(T, pm.times, np.maximum.accumulate(scores), 0.0, meta)
 
 
-def _marginal_value(kind: LimitKind, times, marks, u: float) -> float:
-    sel = times <= u
-    scores = _atom_scores(kind, times[sel], marks[sel])
-    sup = float(np.max(scores)) if scores.size else 0.0
-    return sup - u if kind is LimitKind.FORWARD else sup
-
-
 def limit_marginal_values(
     kind: LimitKind,
     spec: PrmSpec,
@@ -151,7 +144,10 @@ def limit_marginal_values(
 
     def one(r):
         pm = sample_prm(spec, rep_start + r)
-        return _marginal_value(kind, pm.times, pm.marks, u)
+        sel = pm.times <= u
+        scores = _atom_scores(kind, pm.times[sel], pm.marks[sel])
+        sup = float(np.max(scores)) if scores.size else 0.0
+        return sup - u if kind is LimitKind.FORWARD else sup
 
     return _run_jobs(one, reps, jobs)
 

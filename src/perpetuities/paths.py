@@ -125,21 +125,6 @@ def uniform_distance(f: StepPath, g: StepPath) -> float:
     return float(np.max(np.abs(f.values_at(grid) - g.values_at(grid))))
 
 
-def _least_feasible(cands: np.ndarray, feasible) -> float:
-    # bisection for the smallest of the sorted candidates that passes the
-    # monotone test ``feasible``; the last candidate must pass
-    if feasible(cands[0]):
-        return float(cands[0])
-    lo, hi = 0, cands.size - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(cands[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return float(cands[hi])
-
-
 def j1_distance(f: StepPath, g: StepPath) -> float:
     """Skorokhod J1 distance over jump-aligned piecewise linear time changes.
 
@@ -203,7 +188,18 @@ def point_match_distance(nu1: PointMeasure, nu2: PointMeasure, delta: float) -> 
         match = maximum_bipartite_matching(graph, perm_type="column")
         return int(np.sum(match >= 0)) == n
 
-    return _least_feasible(cands, feasible)
+    # bisection for the smallest candidate that admits a perfect matching;
+    # the largest always does
+    if feasible(cands[0]):
+        return float(cands[0])
+    lo, hi = 0, cands.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return float(cands[hi])
 
 
 def restrict_path(p: StepPath, horizon: float) -> StepPath:

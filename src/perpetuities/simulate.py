@@ -25,30 +25,17 @@ function mapped by ``_run_jobs``, which returns one row per replication;
 the row depends on r alone, so a batch is independent of chunking and
 worker count.
 
-The chain samplers (backward and forward, marginal and sup) read one
-batch table with a row per replication: the last log-magnitude, its
-maximum, the endpoint flag (a cancelled last combine, plus one if the
+The chain samplers read one row per replication: the last log-magnitude,
+its maximum, the endpoint flag (a cancelled last combine, plus one if the
 last iterate is exactly zero) and the prefix flag (all cancelled
-combines, plus one if any iterate is exactly zero).  Each sampler returns
-fresh copies of the value column and the flag column it reads.  Inside a
-``shared_batches()`` scope, equal requests (same law, iterate count,
-replications, seed, first replication and direction) reuse the table
-computed first, so a verification suite that reads one batch both as a
-marginal and as a sup simulates it once.  Outside a scope nothing is
-kept, and the backward marginal, which reads only the endpoint, builds no
-table: each chain is reduced to its two sign-pool totals
-(``slog.sign_pools``) and the whole batch is combined by one
-``slog.signed_log_diff``.  Its values match the table's last entries to
-roundoff, and its flags are the endpoint flags.  The forward marginal
-keeps the table, because its flag reads every prefix.
+combines, plus one if any iterate is exactly zero).  ``suite_columns``
+reads every sampler's columns off one draw per replication.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +102,14 @@ def _chain_terms(sign_m, log_m, sign_q, log_q, x0: float = 0.0, forward: bool = 
     return sign_pi, S, term_sign, term_mag
 
 
-def _chain_mags(law: CoefficientLaw, rng, count: int, x0: float = 0.0, forward: bool = False):
-    """(sign, logmag, cancelled) of the first ``count`` iterates of one chain.
+def _chain_mags(coeffs, x0: float = 0.0, forward: bool = False):
+    """(sign, logmag, cancelled) of the iterates of one chain of drawn
+    coefficients ``coeffs`` (the four arrays of ``draw_log_mq``).
 
     ``cancelled[k]`` marks a near-total loss of magnitude in the k-th
     combine of the positive and negative pools.
     """
-    sign_pi, S, term_sign, term_mag = _chain_terms(*draw_log_mq(law, rng, count), x0, forward)
+    sign_pi, S, term_sign, term_mag = _chain_terms(*coeffs, x0, forward)
     sign, mag, cancelled = signed_log_cumsum(term_sign, term_mag)
     if forward:
         # entry 0 is the pool of x0 alone
@@ -151,15 +139,15 @@ def _emit_path(s: SimScenario, mags, cancel_count: int, kind: str, rep: int) -> 
 
 def simulate_perpetuity_path(s: SimScenario, rep: int = 0) -> StepPath:
     """Step path t -> log|Y_{[nt]+1}| on [0, T], unscaled."""
-    sign, mag, cancelled = _chain_mags(s.law, replication_rng(s.seed, rep), s.steps)
+    coeffs = draw_log_mq(s.law, replication_rng(s.seed, rep), s.steps)
+    sign, mag, cancelled = _chain_mags(coeffs)
     return _emit_path(s, mag, np.sum(cancelled), "backward", rep)
 
 
 def simulate_forward_chain_path(s: SimScenario, rep: int = 0) -> StepPath:
     """Step path t -> log|X_{[nt]+1}| on [0, T], started from x0, unscaled."""
-    sign, mag, cancelled = _chain_mags(
-        s.law, replication_rng(s.seed, rep), s.steps, s.x0, forward=True
-    )
+    coeffs = draw_log_mq(s.law, replication_rng(s.seed, rep), s.steps)
+    sign, mag, cancelled = _chain_mags(coeffs, s.x0, forward=True)
     return _emit_path(s, mag, np.sum(cancelled), "forward", rep)
 
 
@@ -169,32 +157,21 @@ def simulate_pakes_sum(law: CoefficientLaw, n: int, seed: int, rep: int = 0) -> 
     if not (law.a > 0 and np.isfinite(law.a)):
         raise ParameterError(f"decay rate must be positive, got {law.a}")
     n = whole_number("n", n, low=0)
-    _, _, _, log_q = draw_log_mq(law, replication_rng(seed, rep), n + 1)
-    return pool_logsumexp(-law.a * np.arange(n + 1) + log_q)
+    return _decayed_sum(law.a, draw_log_mq(law, replication_rng(seed, rep), n + 1)[3])
+
+
+def _decayed_sum(a, log_q):
+    """log of sum_k e^{-ak} |Q_{k+1}| over the drawn log|Q|."""
+    return pool_logsumexp(-a * np.arange(log_q.size) + log_q)
 
 
 # ---------------------------------------------------------------------------
 # batch value samplers: one scalar per replication, r -> stream [seed, r].
-# Each is a per-replication function mapped by _run_jobs, the only loop over
-# replications: jobs > 1 cuts the range into contiguous chunks of
-# ceil(reps / jobs), one per thread, and the rows come back in order.
-
-# the memo of the innermost open shared_batches() scope, None outside one
-_SHARED = contextvars.ContextVar("shared_batches", default=None)
-
-
-@contextmanager
-def shared_batches():
-    """Within this scope, equal batch requests share one batch table."""
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
 
 def _run_jobs(one, reps, jobs):
-    """``np.array([one(r) for r in range(reps)])``, split across ``jobs`` threads."""
+    """``np.array([one(r) for r in range(reps)])``, the only loop over
+    replications: ``jobs`` > 1 maps contiguous chunks of ceil(reps / jobs),
+    one per thread, and the rows come back in order."""
     reps = whole_number("replication count", reps)
     jobs = whole_number("jobs", jobs)
     step = math.ceil(reps / jobs)
@@ -206,34 +183,25 @@ def _run_jobs(one, reps, jobs):
         return np.array([row for part in parts for row in part])
 
 
-def _batch(law, count, reps, seed, rep_start, jobs, forward=False):
-    """The batch table of ``reps`` chains of ``count`` iterates: one row
-    (last, sup, endpoint flag, prefix flag) per replication.
+def _table_row(coeffs, forward=False):
+    """(last, sup, endpoint flag, prefix flag) of one chain's iterates."""
+    sign, mag, cancelled = _chain_mags(coeffs, forward=forward)
+    any_zero = np.count_nonzero(sign) < sign.size
+    end = int(cancelled[-1]) + int(sign[-1] == 0)
+    return mag[-1], mag.max(), end, np.count_nonzero(cancelled) + int(any_zero)
 
-    Inside ``shared_batches()`` an equal request returns the table
-    computed first, so the samplers hand out column copies.  The key
-    fields and ``jobs`` are checked first, so a hit rejects what a miss
-    rejects.
-    """
-    memo = _SHARED.get()
-    key = (law, count, whole_number("replication count", reps),
-           whole_number("seed", seed, low=0), whole_number("rep_start", rep_start, low=0),
-           bool(forward))
-    whole_number("jobs", jobs)
-    if memo is not None and key in memo:
-        return memo[key]
+
+def _table(law, count, reps, seed, rep_start, jobs, chains, pakes=False):
+    """One row per replication of ``count`` iterates, from one draw: the
+    ``_table_row`` of each chain in ``chains`` (False backward, True
+    forward), then the decayed sum if ``pakes``."""
 
     def one(r):
-        rng = replication_rng(seed, rep_start + r)
-        sign, mag, cancelled = _chain_mags(law, rng, count, forward=forward)
-        any_zero = np.count_nonzero(sign) < sign.size
-        end = int(cancelled[-1]) + int(sign[-1] == 0)
-        return mag[-1], mag.max(), end, np.count_nonzero(cancelled) + int(any_zero)
+        coeffs = draw_log_mq(law, replication_rng(seed, rep_start + r), count)
+        row = sum((_table_row(coeffs, forward) for forward in chains), ())
+        return row + (_decayed_sum(law.a, coeffs[3]),) if pakes else row
 
-    table = _run_jobs(one, reps, jobs)
-    if memo is not None:
-        memo[key] = table
-    return table
+    return _run_jobs(one, reps, jobs)
 
 
 def _columns(table, value, flag):
@@ -241,10 +209,10 @@ def _columns(table, value, flag):
     return table[:, value].copy(), table[:, flag].astype(np.int64)
 
 
-def _backward_endpoints(law, count, reps, seed, rep_start, jobs):
-    """(last, endpoint flag) of ``reps`` backward chains of ``count``
-    iterates: each chain reduced to its two sign-pool totals, then one
-    combine for the whole batch."""
+def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
+    """log|Y_{[nu]+1}| per replication with its endpoint flag; each chain
+    is reduced to its two sign-pool totals, then combined in one batch."""
+    count = _index_at(n, u)
 
     def one(r):
         coeffs = draw_log_mq(law, replication_rng(seed, rep_start + r), count)
@@ -256,38 +224,21 @@ def _backward_endpoints(law, count, reps, seed, rep_start, jobs):
     return last, cancelled.astype(np.int64) + (sign == 0)
 
 
-def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
-    """log|Y_{[nu]+1}| per replication; flags count poisoned samples.
-
-    Outside a ``shared_batches()`` scope only the endpoint is computed;
-    inside one the full batch table is, since a later sup request of the
-    same batch reads every prefix.
-    """
-    count = _index_at(n, u)
-    if _SHARED.get() is None:
-        return _backward_endpoints(law, count, reps, seed, rep_start, jobs)
-    return _columns(_batch(law, count, reps, seed, rep_start, jobs), 0, 2)
-
-
 def backward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
     """sup over [0, T] of log|Y_{[nt]+1}| per replication."""
-    return _columns(_batch(law, _index_at(n, T), reps, seed, rep_start, jobs), 1, 3)
+    return _columns(_table(law, _index_at(n, T), reps, seed, rep_start, jobs, (False,)), 1, 3)
 
 
 def forward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
-    """log|X_{[nu]+1}| per replication, started from zero.
-
-    Unlike the backward marginal, whose flag looks at the endpoint only, a
-    forward flag counts every cancelled prefix combine up to the index and
-    adds one if any iterate up to it is exactly zero.
-    """
-    table = _batch(law, _index_at(n, u), reps, seed, rep_start, jobs, forward=True)
+    """log|X_{[nu]+1}| per replication, started from zero; unlike the
+    backward marginal's endpoint flag, its flag is the prefix flag."""
+    table = _table(law, _index_at(n, u), reps, seed, rep_start, jobs, (True,))
     return _columns(table, 0, 3)
 
 
 def forward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
     """sup over [0, T] of log|X_{[nt]+1}| per replication, started from zero."""
-    table = _batch(law, _index_at(n, T), reps, seed, rep_start, jobs, forward=True)
+    table = _table(law, _index_at(n, T), reps, seed, rep_start, jobs, (True,))
     return _columns(table, 1, 3)
 
 
@@ -298,6 +249,27 @@ def pakes_values(law, n, reps, seed, rep_start=0, jobs=1):
         lambda r: simulate_pakes_sum(law, n, seed, rep_start + r), reps, jobs
     )
     return values, np.zeros(values.size, dtype=np.int64)
+
+
+def suite_columns(law, n, u, reps, seed, pakes=False, jobs=1):
+    """(values, flags) of each chain sampler at u, keyed by (chain,
+    "marginal" or "sup"), over replications 0..reps-1 from one draw each;
+    with ``pakes`` (u = 1 only), (None, "marginal") holds the decayed sums.
+
+    The backward marginal reads the prefix table's last entry, which its
+    sampler's two-pool sum matches to roundoff; every other column equals
+    its sampler's output.
+    """
+    table = _table(law, _index_at(n, u), reps, seed, 0, jobs, (False, True), pakes)
+    columns = {
+        ("backward", "marginal"): _columns(table, 0, 2),
+        ("backward", "sup"): _columns(table, 1, 3),
+        ("forward", "marginal"): _columns(table, 4, 7),
+        ("forward", "sup"): _columns(table, 5, 7),
+    }
+    if pakes:
+        columns[None, "marginal"] = table[:, 8].copy(), np.zeros(len(table), dtype=np.int64)
+    return columns
 
 
 def write_paths_csv(paths, fp):

@@ -68,11 +68,6 @@ class SignedLogValue:
         return self.sign * math.exp(self.logmag)
 
 
-def _scalar(sign, mag, cancelled) -> SignedLogValue:
-    """The single entry of a length-1 kernel result."""
-    return SignedLogValue(int(sign[0]), float(mag[0]), bool(cancelled[0]))
-
-
 def pool_logsumexp(mags: np.ndarray) -> float:
     """log of sum(exp(mags)) for the terms of one sign pool: a plain
     max-shifted reduction, -inf for an empty pool."""
@@ -134,7 +129,8 @@ def signed_log_sum(signs, mags) -> SignedLogValue:
     """The last prefix of ``signed_log_cumsum``: the two ``sign_pools``
     and one combine; it does not depend on term order beyond roundoff."""
     pos, neg = sign_pools(signs, mags)
-    return _scalar(*signed_log_diff(np.array([pos]), np.array([neg])))
+    sign, mag, cancelled = signed_log_diff(np.array([pos]), np.array([neg]))
+    return SignedLogValue(int(sign[0]), float(mag[0]), bool(cancelled[0]))
 
 
 def signed_log_add_arrays(sign_a, mag_a, sign_b, mag_b):

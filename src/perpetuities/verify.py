@@ -34,6 +34,7 @@ from .simulate import (
     forward_marginal_values,
     forward_sup_values,
     pakes_values,
+    suite_columns,
 )
 
 
@@ -227,10 +228,22 @@ class VerificationReport:
         }
 
 
+def _read_column(key, kind, value):
+    """One ``to_dict`` value, or the same column as CSV text."""
+    if kind is int:  # "100" is read exactly; 50.7 and "50.7" are rejected
+        if isinstance(value, str):
+            value = int(value) if value.isdecimal() else float(value)
+        return whole_number(key, value, low=0)
+    if kind is bool and value not in (True, False, "True", "False"):
+        raise ParameterError(f"pass flag must be a bool or 'True'/'False', got {value!r}")
+    return value in (True, "True") if kind is bool else kind(value)
+
+
 def report_from_dict(d: dict) -> VerificationReport:
-    """Rebuild a report from ``to_dict`` output; its pass flag is checked."""
+    """Rebuild a report from ``to_dict`` output or a ``write_reports_csv``
+    row; its pass flag is checked."""
     d = {"detail": "", **d}
-    values = {key: kind(d[key]) for key, kind in _REPORT_COLUMNS}
+    values = {key: _read_column(key, kind, d[key]) for key, kind in _REPORT_COLUMNS}
     passed = values.pop("pass")
     report = VerificationReport(**values)
     if passed != report.passed:
@@ -295,23 +308,26 @@ def verify_marginal(
             f"parameter, so u must be 1, got {u}"
         )
     if rule.chain == "backward":
-        values, flags = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
+        sample = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
     elif rule.chain == "forward":
-        values, flags = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
+        sample = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
     else:
-        values, flags = pakes_values(law, n, R, seed, jobs=jobs)
-    values = values / rule.scale(law, n)
-    samples, degenerate = _screen_degenerate(tag, values, flags, R)
+        sample = pakes_values(law, n, R, seed, jobs=jobs)
+    return _marginal_report(tag, law, n, u, R, seed, threshold, *sample)
+
+
+def _marginal_report(tag, law, n, u, R, seed, threshold, values, flags):
+    """The report of ``verify_marginal`` on its drawn sample."""
+    rule = TAG_RULES[tag]
+    samples, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
     D = ks_statistic(samples, rule.limit_cdf(law, u))
-    if threshold is None:
-        threshold = DEFAULT_D_BOUND
     return VerificationReport(
         tag=tag,
         n=n,
         R=R,
         u=u,
         D=D,
-        threshold=float(threshold),
+        threshold=float(DEFAULT_D_BOUND if threshold is None else threshold),
         degenerate=degenerate,
         seed=int(seed),
         detail=f"source=simulation family={law.family}",
@@ -334,10 +350,14 @@ def verify_forward_backward_equality(
     equal streams would make the check vacuously tight.
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
-    fwd, fwd_flags = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
-    bwd, bwd_flags = backward_marginal_values(
-        law, n, u, R, seed, rep_start=R, jobs=jobs
-    )
+    forward = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
+    return _equality_report(law, n, u, R, seed, threshold, jobs, *forward)
+
+
+def _equality_report(law, n, u, R, seed, threshold, jobs, fwd, fwd_flags):
+    """The report of ``verify_forward_backward_equality`` on its drawn
+    forward side (streams 0..R-1); the backward side uses R..2R-1."""
+    bwd, bwd_flags = backward_marginal_values(law, n, u, R, seed, rep_start=R, jobs=jobs)
     fwd_good, fwd_bad = _screen_degenerate("forward side", fwd, fwd_flags, R)
     bwd_good, bwd_bad = _screen_degenerate("backward side", bwd, bwd_flags, R)
     if threshold is None:
@@ -381,11 +401,16 @@ def verify_functional_sup(
     rule.check_family(law)
     n, R = whole_number("n", n), whole_number("R", R, low=100)
     if rule.chain == "backward":
-        values, flags = backward_sup_values(law, n, T, R, seed, jobs=jobs)
+        sample = backward_sup_values(law, n, T, R, seed, jobs=jobs)
     else:
-        values, flags = forward_sup_values(law, n, T, R, seed, jobs=jobs)
-    sim = values / rule.scale(law, n)
-    sim_good, degenerate = _screen_degenerate(tag, sim, flags, R)
+        sample = forward_sup_values(law, n, T, R, seed, jobs=jobs)
+    return _sup_report(tag, law, n, T, R, seed, threshold, jobs, *sample)
+
+
+def _sup_report(tag, law, n, T, R, seed, threshold, jobs, values, flags):
+    """The report of ``verify_functional_sup`` on its drawn sample."""
+    rule = TAG_RULES[tag]
+    sim_good, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
     # the backward and peak paths never decrease; the forward path's sup is its largest mark
     kind = LimitKind.PEAK if rule.kind is LimitKind.FORWARD else rule.kind
     spec = rule.limit_spec(law, T, seed)
@@ -404,6 +429,46 @@ def verify_functional_sup(
         seed=int(seed),
         detail=f"variant={tag} family={law.family}",
     )
+
+
+def verify_suite(
+    law: CoefficientLaw,
+    n: int,
+    u: float,
+    T: float,
+    R: int,
+    seed: int,
+    variant=None,
+    threshold: float | None = None,
+    jobs: int = 1,
+) -> list:
+    """The full suite for the law's family: each compatible marginal tag (a
+    chainless sum only at u = 1), ``ForwardBackwardEquality``, and
+    ``FunctionalSup`` over [0, T] when ``variant`` names a chain tag.
+
+    Replications 0..R-1 are drawn once, at [nu]+1 iterates, and each check
+    reads its sample off that draw (``suite_columns``).  The equality
+    check's backward side (streams R..2R-1) and a sup at T != u draw their
+    own batches, as when their checks run alone.
+    """
+    n, R = whole_number("n", n), whole_number("R", R, low=100)
+    marginals = [t for t in compatible_tags(law) if TAG_RULES[t].chain or u == 1.0]
+    pakes = any(TAG_RULES[t].chain is None for t in marginals)
+    columns = suite_columns(law, n, u, R, seed, pakes=pakes, jobs=jobs)
+    reports = [
+        _marginal_report(t, law, n, u, R, seed, threshold, *columns[TAG_RULES[t].chain, "marginal"])
+        for t in marginals
+    ]
+    forward = columns["forward", "marginal"]
+    reports.append(_equality_report(law, n, u, R, seed, threshold, jobs, *forward))
+    rule = TAG_RULES.get(None if variant is None else canonical_tag(variant))
+    if rule is None or rule.chain is None:
+        return reports
+    if T != u:
+        return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed, threshold, jobs)]
+    rule.check_family(law)
+    sample = columns[rule.chain, "sup"]
+    return reports + [_sup_report(rule.tag, law, n, T, R, seed, threshold, jobs, *sample)]
 
 
 def compatible_tags(law: CoefficientLaw):

@@ -12,7 +12,6 @@ import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
 from perpetuities.laws import classify_regime, draw_log_mq, preset_law
 from perpetuities.verify import (
-    DEFAULT_D_BOUND,
     verify_forward_backward_equality,
     verify_functional_sup,
     verify_marginal,
@@ -320,9 +319,8 @@ class TestVerifySuiteSharing:
             "--seed", "5", "--jobs", "2")
 
     def test_suite_draws_each_batch_once(self, capsys, tmp_path, monkeypatch):
-        # Thm11-backward, Thm11-forward, Pakes114 and the backward side of
-        # the equality check are distinct; the equality check's forward
-        # side and FunctionalSup reuse batches, so 4R draws, not 6R
+        # the suite draws replications 0..R-1 once for every check but the
+        # equality check's backward side, which draws R..2R-1: 2R draws
         calls = []
 
         def counted(law, rng, size):
@@ -332,24 +330,36 @@ class TestVerifySuiteSharing:
         monkeypatch.setattr(simulate_module, "draw_log_mq", counted)
         for out in ("a", "b"):
             run(capsys, *self.ARGV, "--out", str(tmp_path / out))
-            assert len(calls) == 400  # nothing survives the previous call
+            assert len(calls) == 200  # nothing survives the previous call
             calls.clear()
         for name in ("verify_reports.json", "verify_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    # (extra flags, law, u, T, the suite's tags): the forward sup column, a
+    # suite without the decayed sum, a sup outside the shared draw, and Pakes119
+    SHAPES = [
+        ((), "cauchy", 1.0, 1.0, ("Thm11-backward", "Thm11-forward", "Pakes114")),
+        (("--variant", "thm11-forward"), "cauchy", 1.0, 1.0,
+         ("Thm11-backward", "Thm11-forward", "Pakes114")),
+        (("--u", "0.5"), "cauchy", 0.5, 0.5, ("Thm11-backward", "Thm11-forward")),
+        (("--T", "2"), "cauchy", 1.0, 2.0, ("Thm11-backward", "Thm11-forward", "Pakes114")),
+        (("--law", "regvar1"), "regvar1", 1.0, 1.0,
+         ("Thm15-backward", "Thm15-forward", "Pakes119")),
+    ]
+
     def test_suite_matches_separate_checks(self, capsys, tmp_path):
-        run(capsys, *self.ARGV, "--out", str(tmp_path))
-        doc = json.loads((tmp_path / "verify_reports.json").read_text())
-        law = preset_law("cauchy")
-        common = dict(seed=5, jobs=1)
-        alone = [
-            verify_marginal(tag, law, 200, 1.0, 100, threshold=DEFAULT_D_BOUND, **common)
-            for tag in ("Thm11-backward", "Thm11-forward", "Pakes114")
-        ] + [
-            verify_forward_backward_equality(law, 200, 1.0, 100, **common),
-            verify_functional_sup("Thm11-backward", law, 200, 1.0, 100, **common),
-        ]
-        assert doc["reports"] == [r.to_dict() for r in alone]
+        # each suite report equals its check run alone
+        for i, (flags, name, u, T, marginals) in enumerate(self.SHAPES):
+            out = tmp_path / str(i)
+            run(capsys, *self.ARGV, *flags, "--out", str(out))
+            doc = json.loads((out / "verify_reports.json").read_text())
+            law, variant = preset_law(name), doc["config"]["variant"]
+            common = dict(seed=5, jobs=1)
+            alone = [verify_marginal(tag, law, 200, u, 100, **common) for tag in marginals] + [
+                verify_forward_backward_equality(law, 200, u, 100, **common),
+                verify_functional_sup(variant, law, 200, T, 100, **common),
+            ]
+            assert doc["reports"] == [r.to_dict() for r in alone], flags
 
     def test_single_backward_check_matches_the_suite(self, capsys, tmp_path, monkeypatch):
         # in the suite Thm11-backward reads the batch table that

@@ -21,10 +21,10 @@ from perpetuities.simulate import (
     forward_sup_values,
     pakes_values,
     replication_rng,
-    shared_batches,
     simulate_forward_chain_path,
     simulate_pakes_sum,
     simulate_perpetuity_path,
+    suite_columns,
     write_paths_csv,
 )
 from perpetuities.slog import signed_log_cumsum, signed_log_sum
@@ -324,11 +324,14 @@ class TestBatchSamplers:
 
 
 class TestSharedBatches:
+    """``suite_columns``: one draw per replication, read as every sampler's
+    columns."""
+
     LAW = preset_law("cauchy")
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        # counts the chains simulated, one coefficient draw per replication
+        # counts the coefficient draws, one per replication and batch
         calls = []
 
         def counted(law, rng, size):
@@ -338,68 +341,45 @@ class TestSharedBatches:
         monkeypatch.setattr(simulate_module, "draw_log_mq", counted)
         return calls
 
-    def test_no_reuse_outside_the_scope(self, draws):
-        a = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-        b = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-        assert len(draws) == 12
-        np.testing.assert_array_equal(a[0], b[0])
-
-    def test_equal_requests_share_one_batch(self, draws):
-        # the marginal at u = 1 and the sup over [0, 1] read the same
-        # chains; jobs does not enter the key
-        with shared_batches():
-            v1, f1 = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-            s1, g1 = backward_sup_values(self.LAW, 40, 1.0, 6, seed=61, jobs=2)
-            w1, h1 = forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-            t1, k1 = forward_sup_values(self.LAW, 40, 1.0, 6, seed=61, jobs=3)
-        assert len(draws) == 12
-        # each request alone in a fresh scope; outside any scope the
-        # backward marginal takes the endpoint path (TestBackwardEndpoints)
-        for got, sampler in [
-            ((v1, f1), backward_marginal_values),
-            ((s1, g1), backward_sup_values),
-            ((w1, h1), forward_marginal_values),
-            ((t1, k1), forward_sup_values),
-        ]:
-            with shared_batches():
-                want = sampler(self.LAW, 40, 1.0, 6, seed=61)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-        assert len(draws) == 36  # the first scope is closed, so each call computes
-
-    def test_different_requests_do_not_share(self, draws):
-        with shared_batches():
-            backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-            backward_marginal_values(self.LAW, 40, 0.5, 6, seed=61)
-            backward_marginal_values(self.LAW, 40, 1.0, 6, seed=62)
-            backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61, rep_start=6)
-            forward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-        assert len(draws) == 30
+    @pytest.mark.parametrize("pakes", [False, True])
+    def test_each_column_equals_its_sampler(self, draws, pakes):
+        columns = suite_columns(self.LAW, 40, 1.0, 6, seed=61, pakes=pakes, jobs=2)
+        assert len(draws) == 6
+        samplers = {
+            ("backward", "sup"): backward_sup_values,
+            ("forward", "marginal"): forward_marginal_values,
+            ("forward", "sup"): forward_sup_values,
+        }
+        for key, sampler in samplers.items():
+            want = sampler(self.LAW, 40, 1.0, 6, seed=61)
+            np.testing.assert_array_equal(columns[key][0], want[0])
+            np.testing.assert_array_equal(columns[key][1], want[1])
+            assert columns[key][1].dtype == want[1].dtype
+        assert ((None, "marginal") in columns) == pakes
+        if pakes:
+            want = pakes_values(self.LAW, 40, 6, seed=61)
+            for got, expected in zip(columns[None, "marginal"], want):
+                np.testing.assert_array_equal(got, expected)
+                assert got.dtype == expected.dtype
 
     def test_returned_arrays_are_fresh(self):
-        with shared_batches():
-            v, f = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-            want = v.copy(), f.copy()
-            v[:] = np.nan
-            f[:] = 7
-            again = backward_marginal_values(self.LAW, 40, 1.0, 6, seed=61)
-        np.testing.assert_array_equal(again[0], want[0])
-        np.testing.assert_array_equal(again[1], want[1])
+        # no column is a view of the table or of another column
+        columns = suite_columns(self.LAW, 40, 1.0, 6, seed=61, pakes=True)
+        arrays = [a for pair in columns.values() for a in pair]
+        assert all(a.base is None and a.flags.writeable for a in arrays)
+        assert len({id(a) for a in arrays}) == len(arrays)
 
     def test_flags_keep_their_semantics_in_the_scope(self):
-        # one flip-flop batch read as a backward marginal (endpoint flag)
+        # one flip-flop draw read as a backward marginal (endpoint flag)
         # and as a backward sup (prefix flag)
-        law = TestForwardFlags.FLIP
-        with shared_batches():
-            _, end = backward_marginal_values(law, 49, 1.0, 3, seed=3)
-            _, prefix = backward_sup_values(law, 49, 1.0, 3, seed=3)
-        np.testing.assert_array_equal(end, 2)
-        np.testing.assert_array_equal(prefix, 26)
+        columns = suite_columns(TestForwardFlags.FLIP, 49, 1.0, 3, seed=3)
+        np.testing.assert_array_equal(columns["backward", "marginal"][1], 2)
+        np.testing.assert_array_equal(columns["backward", "sup"][1], 26)
 
 
 class TestBackwardEndpoints:
-    """Outside a scope the backward marginal reduces each chain to its two
-    sign-pool totals; inside one it reads the full batch table."""
+    """The backward marginal reduces each chain to its two sign-pool
+    totals; the suite's columns read the full prefix table."""
 
     LAWS = [pytest.param(preset_law(name), id=name) for name in PRESET_NAMES] + [
         pytest.param(TestForwardFlags.FLIP, id="flip-flop")
@@ -409,8 +389,7 @@ class TestBackwardEndpoints:
     @pytest.mark.parametrize("n", [49, 400])
     def test_matches_the_table(self, law, n):
         v, f = backward_marginal_values(law, n, 1.0, 24, seed=67)
-        with shared_batches():
-            w, g = backward_marginal_values(law, n, 1.0, 24, seed=67)
+        w, g = suite_columns(law, n, 1.0, 24, seed=67)["backward", "marginal"]
         finite = np.isfinite(w)
         np.testing.assert_array_equal(np.isfinite(v), finite)
         np.testing.assert_array_equal(v[~finite], w[~finite])
@@ -438,19 +417,17 @@ class TestBackwardEndpoints:
         return calls
 
     def test_no_prefix_scan_outside_a_scope(self, cumsums):
+        # the backward marginal alone never builds the prefix table
         backward_marginal_values(preset_law("cauchy"), 40, 1.0, 6, seed=61, jobs=2)
         assert cumsums == []
-        with shared_batches():
-            backward_marginal_values(preset_law("cauchy"), 40, 1.0, 6, seed=61)
-        assert len(cumsums) == 6
 
     def test_a_sup_in_the_scope_reuses_the_marginal_batch(self, cumsums):
-        law = preset_law("cauchy")
-        with shared_batches():
-            last, _ = backward_marginal_values(law, 40, 1.0, 6, seed=61)
-            sup, _ = backward_sup_values(law, 40, 1.0, 6, seed=61)
-        assert len(cumsums) == 6  # one prefix scan per replication
-        assert np.all(sup >= last)
+        # the suite's marginal and sup columns of each chain read one scan:
+        # per replication, the backward terms, then x0 and the forward terms
+        columns = suite_columns(preset_law("cauchy"), 40, 1.0, 6, seed=61, pakes=True)
+        assert cumsums == [41, 42] * 6
+        for chain in ("backward", "forward"):
+            assert np.all(columns[chain, "sup"][0] >= columns[chain, "marginal"][0])
 
 
 class TestRunJobs:

@@ -1,5 +1,6 @@
 """Tests for the KS machinery and the verification suites."""
 
+import csv
 import io
 import math
 
@@ -142,6 +143,23 @@ class TestReportObject:
     def test_roundtrip(self):
         rep = self.make(detail="family=CauchyTail")
         assert report_from_dict(rep.to_dict()) == rep
+
+    def test_rebuilds_csv_rows_and_rejects_fractional_counts(self):
+        # a CSV row is all text, and bool("False") is True: the pass flag
+        # and the counts must be parsed, not cast; a seed above 2**53 too
+        reports = [self.make(), self.make(D=0.06, seed=2**64 + 1)]
+        buf = io.StringIO()
+        write_reports_csv(reports, buf, config={"seed": 7})
+        buf.seek(0)
+        buf.readline()  # the config line
+        rows = list(csv.DictReader(buf))
+        assert [row["pass"] for row in rows] == ["True", "False"]
+        assert [report_from_dict(row) for row in rows] == reports
+        for key, value in [("n", 50.7), ("R", 100.9), ("seed", 0.5), ("R", "100.9")]:
+            with pytest.raises(ParameterError, match=f"{key} must be"):
+                report_from_dict({**reports[0].to_dict(), key: value})
+        with pytest.raises(ParameterError, match="pass flag"):
+            report_from_dict({**rows[0], "pass": "yes"})
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -21,7 +21,6 @@ from perpetuities.simulate import (
     forward_sup_values,
     pakes_values,
     replication_rng,
-    shared_batches,
     simulate_forward_chain_path,
     simulate_pakes_sum,
     simulate_perpetuity_path,
@@ -33,6 +32,7 @@ from perpetuities.verify import (
     verify_forward_backward_equality,
     verify_functional_sup,
     verify_marginal,
+    verify_suite,
 )
 
 CAUCHY = preset_law("cauchy")
@@ -82,6 +82,7 @@ _VERIFY = {
         lambda **kw: verify_forward_backward_equality(CAUCHY, u=1.0, **kw),
     "verify_functional_sup":
         lambda **kw: verify_functional_sup("thm11-backward", CAUCHY, T=1.0, **kw),
+    "verify_suite": lambda **kw: verify_suite(CAUCHY, u=1.0, T=1.0, variant="thm11-backward", **kw),
 }
 
 COUNTS = [
@@ -153,20 +154,3 @@ def test_verify_rejects_a_fractional_count(counts):
     kw = {"n": 50, "R": 100, **counts}
     with pytest.raises(ParameterError):
         verify_marginal("thm11-backward", CAUCHY, u=1.0, seed=0, **kw)
-
-
-# the fractions truncated to the key of the cached batch, so they were hits
-@pytest.mark.parametrize("arg, value", [
-    ("jobs", 0), ("jobs", 1.5), ("seed", -1), ("seed", 0.5), ("reps", 3.5),
-    ("rep_start", -1), ("rep_start", 0.5),
-])
-def test_a_memo_hit_rejects_what_a_miss_rejects(arg, value):
-    kw = dict(n=10, T=1.0, reps=3, seed=0, rep_start=0, jobs=1)
-    bad = {**kw, arg: value}
-    with pytest.raises(ParameterError) as miss:
-        backward_sup_values(CAUCHY, **bad)
-    with shared_batches():
-        backward_sup_values(CAUCHY, **kw)
-        with pytest.raises(ParameterError) as hit:
-            backward_sup_values(CAUCHY, **bad)
-    assert str(hit.value) == str(miss.value)
