@@ -5,6 +5,10 @@ difference equations whose log magnitudes grow linearly, samples their
 extremal limit processes from truncated Poisson constructions, applies
 the smoothed signed-sum and running-max path functionals, and verifies
 the distributional statements connecting the two sides.
+
+Importing the package loads numpy only. The few functions that call
+scipy import it in their body, so a command that never calls them never
+pays for loading it.
 """
 
 from importlib import metadata as _metadata

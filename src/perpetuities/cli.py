@@ -105,7 +105,7 @@ def _add_law_flags(p):
 
 
 _RUN_FLAGS = {
-    "n": dict(type=int, default=1000),
+    "n": dict(type=_int_at_least(1), default=1000),
     "T": dict(type=float, default=1.0),
     "u": dict(type=float, default=1.0),
     "R": dict(type=_int_at_least(1), default=1000),

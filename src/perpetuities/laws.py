@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, ParameterError, UnsupportedFamilyError, whole_number
 
@@ -191,6 +189,8 @@ def mean_log_m(law: CoefficientLaw) -> float:
 def _h(t):
     # antiderivative of the standard normal CDF: h'(t) = ndtr(t); the
     # second term is the normal density
+    from scipy.special import ndtr
+
     return t * ndtr(t) + np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
@@ -257,6 +257,8 @@ def stability_integral_truncated(law: CoefficientLaw, level: float) -> float:
 
     def integrand(w):
         return _log_q_density_logscale(law, w) / compute_A(law, math.exp(w))
+
+    from scipy.integrate import quad
 
     val, _ = quad(integrand, w0, w1, epsrel=1e-8, limit=200)
     return float(val)

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ParameterError
 
@@ -179,6 +177,9 @@ def point_match_distance(nu1: PointMeasure, nu2: PointMeasure, delta: float) -> 
     n = r1.count
     if n == 0:
         return 0.0
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     cost = (np.abs(r1.times[:, None] - r2.times[None, :])
             + np.abs(r1.marks[:, None] - r2.marks[None, :]))
     cands = np.unique(cost.ravel())

@@ -15,7 +15,6 @@ import math
 import types
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .errors import ConfigurationError, ParameterError, StatisticalError, whole_number
 from .laws import CoefficientLaw, compute_bn
@@ -172,6 +171,8 @@ def ks_threshold(reps: int, level: float = DEFAULT_KS_LEVEL) -> float:
     reps = whole_number("replication count", reps)
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
+    from scipy.special import kolmogi
+
     return float(kolmogi(level)) / math.sqrt(reps)
 
 
@@ -184,6 +185,8 @@ def two_sample_threshold(
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     ratio = (n_first + n_second) / (n_first * n_second)
+    from scipy.special import kolmogi
+
     return float(kolmogi(level)) * math.sqrt(ratio)
 
 
@@ -214,8 +217,12 @@ class VerificationReport:
             raise ParameterError(f"KS statistic must lie in [0, 1], got {self.D}")
         if not (np.isfinite(self.threshold) and self.threshold > 0):
             raise ParameterError(f"threshold must be positive, got {self.threshold}")
+        if not (math.isfinite(self.u) and self.u > 0):
+            raise ParameterError(f"u must be finite and positive, got {self.u}")
+        whole_number("n", self.n)
         whole_number("R", self.R)
         whole_number("degenerate count", self.degenerate, low=0)
+        whole_number("seed", self.seed, low=0)
 
     @property
     def passed(self) -> bool:

@@ -87,9 +87,11 @@ class TestDomainChecks:
         ("limits", "prm", "--R", "1", "--seed", "-1"),
         ("verify", "--theorem", "thm11-backward", "--variant", "nonsense", "--n", "50",
          "--R", "100"),
+        ("verify", "--n", "2.5", "--R", "100"),
+        ("simulate", "--n", "0", "--R", "1"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
             "ns-fraction", "verify-gamma", "R-abc", "functionalsup-no-variant", "seed-negative",
-            "limits-seed-negative", "variant-unknown"])
+            "limits-seed-negative", "variant-unknown", "n-fraction", "n-zero"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
@@ -97,6 +99,13 @@ class TestDomainChecks:
         # the message speaks of the value, not of a private function
         assert re.search(r"\b_\w", err) is None, err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [("--n", "2.5", "--R", "1"), ("--n", "5", "--R", "2.5")],
+                             ids=["n", "R"])
+    def test_count_flags_fail_alike(self, capsys, argv):
+        # --n was parsed by int() and failed with argparse's own wording
+        code, _, err = run(capsys, "simulate", *argv)
+        assert code == 1 and "must be an integer >= 1, got '2.5'" in err
 
 
 class TestUnreadFlags:

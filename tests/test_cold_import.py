@@ -1,0 +1,58 @@
+"""Importing the package loads numpy and no scipy module; each function
+that needs scipy imports the submodule it calls, where it calls it.
+
+Every check runs in a fresh interpreter: the other test modules import
+scipy, so in this process a mistyped import inside a function would go
+unseen."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from perpetuities import laws, paths, verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = {"laws": laws, "paths": paths, "verify": verify}
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+# each call that imports scipy inside its body, with the submodule it loads
+CALLS = [
+    ("compute_A", "laws.compute_A(laws.preset_law('cauchy'), 2.5)", "scipy.special"),
+    ("stability_integral_truncated",
+     "laws.stability_integral_truncated(laws.preset_law('cauchy'), 50.0)", "scipy.integrate"),
+    ("point_match_distance",
+     "paths.point_match_distance(paths.PointMeasure(1.0, [0.1, 0.5, 0.9], [2.0, 1.0, 3.0]),"
+     " paths.PointMeasure(1.0, [0.2, 0.45, 0.8], [2.5, 1.2, 2.0]), 0.5)", "scipy.sparse"),
+    ("ks_threshold", "verify.ks_threshold(512)", "scipy.special"),
+    ("two_sample_threshold", "verify.two_sample_threshold(512, 300)", "scipy.special"),
+]
+
+
+def fresh(*lines):
+    """The JSON value printed by ``lines`` run in a new interpreter."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_scipy():
+    loaded = fresh("import json, sys", "import perpetuities, perpetuities.cli",
+                   f"print(json.dumps({_LOADED_SCIPY}))")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("expr, submodule", [c[1:] for c in CALLS], ids=[c[0] for c in CALLS])
+def test_deferred_import_returns_the_same_float(expr, submodule):
+    value, loaded = fresh(
+        "import json, sys", "from perpetuities import laws, paths, verify",
+        f"print(json.dumps([float({expr}), {_LOADED_SCIPY}]))")
+    # JSON round-trips a finite float exactly
+    assert value == float(eval(expr, dict(MODULES)))
+    assert submodule in loaded

@@ -187,6 +187,18 @@ class TestReportObject:
         with pytest.raises(ParameterError):
             self.make(R=0)
 
+    # n and seed are in the count table of test_whole_numbers.py
+    @pytest.mark.parametrize("u", [-2.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_time_that_is_not_finite_and_positive(self, u):
+        with pytest.raises(ParameterError, match="u must be"):
+            self.make(u=u)
+
+    def test_rejects_negative_n_u_and_seed_together(self):
+        # built without an error before: n, u and seed were never checked
+        with pytest.raises(ParameterError):
+            VerificationReport(tag="Thm11-backward", n=-5, R=100, u=-2.0, D=0.01,
+                               threshold=0.05, degenerate=0, seed=-3)
+
     def test_csv_and_json_writers(self):
         reports = [self.make(), self.make(tag="FunctionalSup", D=0.06)]
         buf = io.StringIO()

@@ -128,7 +128,7 @@ COUNTS = [
     *_each_count("VerificationReport", VerificationReport,
                  dict(tag="Thm11-backward", n=10, R=100, u=1.0, D=0.01, threshold=0.05,
                       degenerate=0, seed=0),
-                 dict(R=1, degenerate=0)),
+                 dict(n=1, R=1, degenerate=0, seed=0)),
     ("bundled_instance.ns", lambda v: bundled_instance("single-atom", ns=[v]), 1),
     ("bundled_instance.seed", lambda v: bundled_instance("prm", seed=v), 0),
 ]
