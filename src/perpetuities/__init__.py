@@ -83,11 +83,7 @@ from .simulate import (
     simulate_perpetuity_path,
     write_paths_csv,
 )
-from .slog import (
-    SignedLogValue,
-    signed_log_diff,
-    slog_sum,
-)
+from .slog import signed_log_diff
 from .verify import (
     MARGINAL_TAGS,
     REPORT_TAGS,
@@ -96,7 +92,6 @@ from .verify import (
     compatible_tags,
     ks_statistic,
     ks_threshold,
-    report_from_dict,
     two_sample_ks,
     two_sample_threshold,
     verify_forward_backward_equality,
@@ -130,7 +125,6 @@ __all__ = [
     "REPORT_TAGS",
     "Regime",
     "SignedAtomSequence",
-    "SignedLogValue",
     "SimScenario",
     "StatisticalError",
     "StepPath",
@@ -170,14 +164,12 @@ __all__ = [
     "preset_law",
     "quantile_log_q",
     "replication_rng",
-    "report_from_dict",
     "restrict_path",
     "sample_prm",
     "signed_log_diff",
     "simulate_forward_chain_path",
     "simulate_pakes_sum",
     "simulate_perpetuity_path",
-    "slog_sum",
     "stability_integral_truncated",
     "tail_Q",
     "two_sample_ks",

@@ -165,10 +165,8 @@ def draw_log_mq(law: CoefficientLaw, rng, size: int):
         return sign_m, log_m, sign_q, log_q
     if law.family == "HeavyNegM":
         log_m = -(1.0 - rng.random(size)) ** (-1.0 / law.beta)
-    elif law.family == "ExpandingControl":
-        log_m = law.a + rng.standard_normal(size)
     else:
-        log_m = -law.a + rng.standard_normal(size)
+        log_m = mean_log_m(law) + rng.standard_normal(size)
     sign_m = np.where(rng.random(size) < law.p_M, 1, -1)
     log_q = quantile_log_q(law, 1.0 - rng.random(size))
     sign_q = np.where(rng.random(size) < law.p_Q, 1, -1)
@@ -207,7 +205,7 @@ def compute_A(law: CoefficientLaw, x):
         level = max(-math.log(abs(law.m0)), 0.0)
         out = np.minimum(x, level)
     else:
-        mu = law.a if law.family == "ExpandingControl" else -law.a
+        mu = mean_log_m(law)
         out = _h(-mu) - _h(-mu - x)
     return out if out.ndim else float(out)
 

@@ -127,8 +127,10 @@ def j1_distance(f: StepPath, g: StepPath) -> float:
     """Skorokhod J1 distance over jump-aligned piecewise linear time changes.
 
     Always at most ``uniform_distance(f, g)`` (the identity time change is
-    admissible).  The infimum over the restricted class need not be attained
-    but is still returned exactly.
+    admissible).  It can report less than the J1 distance: the pairing
+    model lets an unpaired jump cross a jump of the other path at no time
+    cost (f jumping at 0.9 and g at 0.1 on [0, 1] gives the gap of the
+    two jump sizes, not the larger size).
     """
     _check_same_horizon(f, g)
     upper = uniform_distance(f, g)

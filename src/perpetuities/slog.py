@@ -1,71 +1,27 @@
-"""Signed log-space scalars.
+"""Signed log-space sums.
 
 Magnitudes that span thousands of e-folds cannot be added as ordinary
-floats, so values are carried as (sign, log magnitude) pairs.  Every
+floats, so values are carried as (sign, log magnitude) arrays.  Every
 signed sum splits its terms into a positive and a negative pool and
-reduces each pool in log space: ``signed_log_cumsum`` gives every prefix
-sum, ``sign_pools`` the two pool totals (each reduced around its
-maximum by ``pool_logsumexp``) and ``signed_log_sum`` their combined
-total.  The only true subtraction happens in one final signed combine,
-``signed_log_diff``, which also runs elementwise over many pool pairs at
-once; a near-total loss of magnitude is flagged on the result instead of
-being returned silently.
+reduces each pool in log space.  Two kernels do that:
+``signed_log_cumsum`` gives every prefix sum, and ``sign_pools`` gives
+the two pool totals, each reduced around its maximum by
+``pool_logsumexp``.  The only true subtraction happens in one final
+signed combine, ``signed_log_diff``, which also runs elementwise over
+many pool pairs at once; a near-total loss of magnitude is flagged on
+the result instead of being returned silently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-
-from .errors import ParameterError
 
 # relative residual below which a signed combine counts as a cancellation
 CANCEL_RTOL = 1e-12
 _LOG_CANCEL = math.log(CANCEL_RTOL)
 _NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as sign and log of absolute value.
-
-    ``sign`` is -1, 0 or +1 and ``logmag`` is ``log|x|`` (``-inf`` exactly
-    when the value is zero, never ``+inf``).  ``cancelled`` marks results
-    whose magnitude fell below ``CANCEL_RTOL`` times the larger operand
-    during a signed add.
-    """
-
-    sign: int
-    logmag: float
-    cancelled: bool = False
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ParameterError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if (self.sign == 0) != (self.logmag == _NEG_INF):
-            raise ParameterError(
-                "sign 0 must pair with logmag -inf and vice versa "
-                f"(got sign={self.sign}, logmag={self.logmag})"
-            )
-        if math.isnan(self.logmag) or self.logmag == math.inf:
-            raise ParameterError(f"logmag must be a number below +inf, got {self.logmag}")
-
-    @classmethod
-    def from_real(cls, x: float) -> "SignedLogValue":
-        x = float(x)
-        if math.isnan(x):
-            raise ParameterError("cannot represent NaN")
-        if x == 0.0:
-            return cls(0, _NEG_INF)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_real(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.logmag)
 
 
 def pool_logsumexp(mags: np.ndarray) -> float:
@@ -76,16 +32,6 @@ def pool_logsumexp(mags: np.ndarray) -> float:
         return _NEG_INF
     return m + math.log(float(np.exp(mags - m).sum()))
 
-
-def slog_sum(terms: Iterable[SignedLogValue]) -> SignedLogValue:
-    """Sum of signed log-space terms, reduced by ``signed_log_sum``."""
-    terms = list(terms)
-    return signed_log_sum(np.array([t.sign for t in terms]),
-                          np.array([t.logmag for t in terms], dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# array kernels
 
 def signed_log_diff(pos: np.ndarray, neg: np.ndarray):
     """Combine a positive pool and a negative pool, elementwise.
@@ -123,14 +69,6 @@ def sign_pools(signs, mags):
     pool totals of the terms ``signs[k] * exp(mags[k])``."""
     signs, mags = np.asarray(signs), np.asarray(mags, dtype=float)
     return pool_logsumexp(mags[signs > 0]), pool_logsumexp(mags[signs < 0])
-
-
-def signed_log_sum(signs, mags) -> SignedLogValue:
-    """The last prefix of ``signed_log_cumsum``: the two ``sign_pools``
-    and one combine; it does not depend on term order beyond roundoff."""
-    pos, neg = sign_pools(signs, mags)
-    sign, mag, cancelled = signed_log_diff(np.array([pos]), np.array([neg]))
-    return SignedLogValue(int(sign[0]), float(mag[0]), bool(cancelled[0]))
 
 
 def signed_log_add_arrays(sign_a, mag_a, sign_b, mag_b):

@@ -235,40 +235,14 @@ class VerificationReport:
         }
 
 
-def _read_column(key, kind, value):
-    """One ``to_dict`` value, or the same column as CSV text."""
-    if kind is int:  # "100" is read exactly; 50.7 and "50.7" are rejected
-        if isinstance(value, str):
-            value = int(value) if value.isdecimal() else float(value)
-        return whole_number(key, value, low=0)
-    if kind is bool and value not in (True, False, "True", "False"):
-        raise ParameterError(f"pass flag must be a bool or 'True'/'False', got {value!r}")
-    return value in (True, "True") if kind is bool else kind(value)
-
-
-def report_from_dict(d: dict) -> VerificationReport:
-    """Rebuild a report from ``to_dict`` output or a ``write_reports_csv``
-    row; its pass flag is checked."""
-    d = {"detail": "", **d}
-    values = {key: _read_column(key, kind, d[key]) for key, kind in _REPORT_COLUMNS}
-    passed = values.pop("pass")
-    report = VerificationReport(**values)
-    if passed != report.passed:
-        raise ParameterError("pass flag must equal (D <= threshold)")
-    return report
-
-
-def write_reports_json(reports, fp, config: dict | None = None) -> None:
-    payload = {"reports": [r.to_dict() for r in reports]}
-    if config is not None:
-        payload["config"] = config
+def write_reports_json(reports, fp, config: dict) -> None:
+    payload = {"config": config, "reports": [r.to_dict() for r in reports]}
     json.dump(payload, fp, indent=2, sort_keys=True)
     fp.write("\n")
 
 
-def write_reports_csv(reports, fp, config: dict | None = None) -> None:
-    if config is not None:
-        fp.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+def write_reports_csv(reports, fp, config: dict) -> None:
+    fp.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(key for key, _ in _REPORT_COLUMNS)
     for r in reports:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perpetuities.simulate import _chain_terms
-from perpetuities.slog import signed_log_sum
+from perpetuities.slog import sign_pools, signed_log_diff
 
 # quarter steps of log-magnitude, so partial sums of them are exact and
 # both chains see the same term magnitudes
@@ -26,12 +26,12 @@ def endpoint(coeffs, forward):
     """(sign, logmag, cancelled, log of sum |term|) of the last iterate."""
     sign_m, log_m, sign_q, log_q = (np.array(c, dtype=float) for c in zip(*coeffs))
     sign_pi, S, term_sign, term_mag = _chain_terms(sign_m, log_m, sign_q, log_q, 0.0, forward)
-    total = signed_log_sum(term_sign, term_mag)
-    scale = signed_log_sum(np.abs(term_sign), term_mag).logmag
+    sign, mag, cancelled = (a.item() for a in signed_log_diff(*sign_pools(term_sign, term_mag)))
+    scale = sign_pools(np.abs(term_sign), term_mag)[0]
     if forward:
         # X_n = Pi_n times the pool sum
-        return total.sign * int(sign_pi[-1]), total.logmag + S[-1], total.cancelled, scale + S[-1]
-    return total.sign, total.logmag, total.cancelled, scale
+        return sign * int(sign_pi[-1]), mag + S[-1], cancelled, scale + S[-1]
+    return sign, mag, cancelled, scale
 
 
 @settings(max_examples=400, deadline=None)

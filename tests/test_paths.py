@@ -246,6 +246,17 @@ class TestJ1Distance:
             g = random_path(rng, n_jumps=rng.integers(0, 8))
             assert j1_distance(f, g) <= uniform_distance(f, g) + 1e-12
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+    def test_unpaired_jumps_do_not_cross_for_free(self):
+        # pairing the jumps costs 0.8 of time; unpaired, f's jump at 0.9
+        # cannot come before g's at 0.1, so g = 0.02 meets f = 0 on
+        # [0.1, 0.9) and the J1 distance is the uniform one; the lattice
+        # takes f's jump first and returns 0.01
+        f = StepPath(1.0, [0.9], [0.0, 0.01])
+        g = StepPath(1.0, [0.1], [0.0, 0.02])
+        assert uniform_distance(f, g) == 0.02
+        assert j1_distance(f, g) == 0.02
+
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         for _ in range(20):

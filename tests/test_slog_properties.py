@@ -6,13 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perpetuities.slog import (
-    SignedLogValue,
-    signed_log_cumsum,
-    signed_log_diff,
-    signed_log_sum,
-    slog_sum,
-)
+from perpetuities.slog import signed_log_cumsum, signed_log_diff
+
+from test_slog import split, total
 
 # normal floats whose sums of up to 30 terms stay finite; a subnormal
 # carries too few bits to survive the trip through log and exp
@@ -44,19 +40,17 @@ def assert_matches_fsum(value, cancelled, xs):
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(FINITE, max_size=15), st.one_of(st.none(), st.integers(-4, 4)))
-def test_slog_sum_matches_fsum(xs, k):
+def test_pool_total_matches_fsum(xs, k):
     xs = with_mirror(xs, k)
-    got = slog_sum(SignedLogValue.from_real(x) for x in xs)
-    assert_matches_fsum(got.to_real(), got.cancelled, xs)
+    sign, mag, cancelled = total(*split(xs))
+    assert_matches_fsum(sign * math.exp(mag), cancelled, xs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(FINITE, max_size=15), st.one_of(st.none(), st.integers(-4, 4)))
 def test_cumsum_prefixes_match_fsum(xs, k):
     xs = with_mirror(xs, k)
-    terms = [SignedLogValue.from_real(x) for x in xs]
-    signs = np.array([t.sign for t in terms], dtype=np.int64)
-    mags = np.array([t.logmag for t in terms], dtype=float)
+    signs, mags = split(xs)
     sign, mag, cancelled = signed_log_cumsum(signs, mags)
     assert sign.shape == mag.shape == cancelled.shape == (len(xs),)
     for j in range(len(xs)):
@@ -64,12 +58,12 @@ def test_cumsum_prefixes_match_fsum(xs, k):
     # the reduce-only kernel lands on the last prefix; both sit within
     # 1e-12 of sum |x| of the exact total, and agree in sign unless one
     # of them flags the combine
-    total = signed_log_sum(signs, mags)
+    total_sign, total_mag, total_cancelled = total(signs, mags)
     scale = math.fsum(abs(x) for x in xs)
     last = sign[-1] * math.exp(mag[-1]) if xs else 0.0
-    assert abs(total.to_real() - last) <= 2e-12 * scale
-    if xs and not (total.cancelled or cancelled[-1]):
-        assert total.sign == sign[-1]
+    assert abs(total_sign * math.exp(total_mag) - last) <= 2e-12 * scale
+    if xs and not (total_cancelled or cancelled[-1]):
+        assert total_sign == sign[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,5 +81,5 @@ def test_ties_and_empty_pools_give_sign_zero(m, zeros):
     assert not np.any(sign[:zeros]) and not np.any(cancelled[:zeros])
     assert sign[zeros] == 1 and mag[zeros] == m and not cancelled[zeros]
     assert sign[-1] == 0 and mag[-1] == -np.inf and cancelled[-1]
-    assert signed_log_sum(signs, mags) == SignedLogValue(0, -np.inf, True)
-    assert signed_log_sum(signs[:zeros], mags[:zeros]) == SignedLogValue(0, -np.inf, False)
+    assert total(signs, mags) == (0, -np.inf, True)
+    assert total(signs[:zeros], mags[:zeros]) == (0, -np.inf, False)

@@ -4,11 +4,11 @@ Static checks with the standard library's ``ast``.  An import bound to a
 name that no expression of the module reads is dead code.  ``__init__.py``
 imports in order to re-export, and lines marked ``# noqa: F401`` keep a
 name importable on purpose, so both are skipped.  A public top-level
-function or class, and every name the package exports, is dead code
-unless a caller reads it: a package module other than ``__init__.py``, a
-script of ``demos/`` or ``bench/``, or a hook of ``bench/tracing.py``.
-The console script and the few exports that only tests read are listed
-by name.
+function or class, a public method or property of such a class, and
+every name the package exports, is dead code unless a caller reads it: a
+package module other than ``__init__.py``, a script of ``demos/`` or
+``bench/``, or a hook of ``bench/tracing.py``.  The console script and
+the few names that only tests read are listed by name.
 """
 
 import ast
@@ -30,12 +30,11 @@ SCRIPTS = sorted(
 TRACING = ROOT / "bench" / "tracing.py"
 # the [project.scripts] entry point of pyproject.toml
 ENTRY_POINTS = ("main",)
-# exports whose only readers are tests, each with the reason it stays
+# public names whose only readers are tests, each with the reason it stays
 TEST_ONLY = (
-    ("slog_sum", "acceptance criterion 10 sums SignedLogValue terms with it"),
     ("tail_Q", "the exact tail that the quantile tests compare against"),
     ("drift_exceedance_intensity", "the acceptance identity exp(-intensity) = CDF"),
-    ("report_from_dict", "the report round trip of the verify tests"),
+    ("status_of", "11 condition tests in test_functionals.py read one status by name"),
     ("law_from_dict", "the inverse of law_to_dict, for re-running a command from its output"),
 )
 
@@ -79,17 +78,23 @@ def read_names(source: str):
     return read
 
 
+def public_defs(source: str):
+    """The top-level defs and classes of ``source``, and the methods and
+    properties of those classes, whose names do not start with ``_``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names |= {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return {name for name in names if not name.startswith("_")}
+
+
 def dead_public_names(modules, callers, exported, exempt):
-    """Each name in ``exported``, and each public top-level def or class of
-    ``modules``, that no source in ``modules`` or ``callers`` reads and
-    ``exempt`` does not list."""
-    names = set(exported)
-    for source in modules:
-        names |= {
-            node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-        }
+    """Each name in ``exported``, and each public def, class, method or
+    property of ``modules``, that no source in ``modules`` or ``callers``
+    reads and ``exempt`` does not list."""
+    names = set(exported).union(*map(public_defs, modules))
     read = set().union(*map(read_names, [*modules, *callers]))
     return sorted(names - read - set(exempt))
 
@@ -99,11 +104,15 @@ def test_detects_a_dead_public_name():
         "def used():\n    pass\ndef exported():\n    pass\n"
         "def dead():\n    pass\ndef _private():\n    pass\nclass Main:\n    pass\n",
         "from . import a\nfrom .a import dead\na.used()\n",
+        "class Box:\n    def __init__(self):\n        pass\n    def _helper(self):\n"
+        "        pass\n    @property\n    def size(self):\n        return 1\n"
+        "    def dead_method(self):\n        pass\n    def read(self):\n"
+        "        return self.size\nBox().read()\n",
     ]
     callers = ["import pkg\npkg.called()\n"]
     exported = {"exported", "called", "hooked"}
     assert dead_public_names(modules, callers, exported, {"Main", "hooked"}) == [
-        "dead", "exported",
+        "dead", "dead_method", "exported",
     ]
 
 
