@@ -74,12 +74,12 @@ from .simulate import (
     SimScenario,
     backward_marginal_values,
     backward_sup_values,
+    batch_columns,
     forward_marginal_values,
     forward_sup_values,
     pakes_values,
     replication_rng,
     simulate_forward_chain_path,
-    simulate_pakes_sum,
     simulate_perpetuity_path,
     write_paths_csv,
 )
@@ -133,6 +133,7 @@ __all__ = [
     "VerificationReport",
     "backward_marginal_values",
     "backward_sup_values",
+    "batch_columns",
     "bundled_instance",
     "canonical_tag",
     "check_conditions",
@@ -168,7 +169,6 @@ __all__ = [
     "sample_prm",
     "signed_log_diff",
     "simulate_forward_chain_path",
-    "simulate_pakes_sum",
     "simulate_perpetuity_path",
     "stability_integral_truncated",
     "tail_Q",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, whole_number
+from .limits import PrmSpec, sample_prm
 from .paths import (
     PointMeasure,
     StepPath,
@@ -390,9 +391,6 @@ def bundled_instance(name: str, ns=None, seed: int = 0) -> ConvergenceInstance:
         return _constant_instance(name, ns, f0, nu)
 
     if name == "prm":
-        # deferred import: limits builds on simulate, which this module skips
-        from .limits import PrmSpec, sample_prm
-
         pm = sample_prm(PrmSpec(c=1.0, alpha=1.0, T=_HORIZON, gamma=0.1, seed=seed))
         if pm.count == 0:
             raise ConfigurationError("drawn measure has no atoms; change the seed")

@@ -25,11 +25,14 @@ function mapped by ``_run_jobs``, which returns one row per replication;
 the row depends on r alone, so a batch is independent of chunking and
 worker count.
 
-The chain samplers read one row per replication: the last log-magnitude,
-its maximum, the endpoint flag (a cancelled last combine, plus one if the
+``batch_columns`` draws each replication once and reads every column
+off that draw.  Per chain a row holds the last log-magnitude, its
+maximum, the endpoint flag (a cancelled last combine, plus one if the
 last iterate is exactly zero) and the prefix flag (all cancelled
-combines, plus one if any iterate is exactly zero).  ``suite_columns``
-reads every sampler's columns off one draw per replication.
+combines, plus one if any iterate is exactly zero).  The backward
+marginal carries the endpoint flag; the forward marginal and both sups
+carry the prefix flag; the Pakes sum is never flagged.  The samplers
+other than ``backward_marginal_values`` are lookups in that table.
 """
 
 from __future__ import annotations
@@ -151,20 +154,6 @@ def simulate_forward_chain_path(s: SimScenario, rep: int = 0) -> StepPath:
     return _emit_path(s, mag, np.sum(cancelled), "forward", rep)
 
 
-def simulate_pakes_sum(law: CoefficientLaw, n: int, seed: int, rep: int = 0) -> float:
-    """log of sum_{k=0}^{n} e^{-ak} |Q_{k+1}| at a = law.a, via one positive log-space pool."""
-    # Degenerate and HeavyNegM laws leave a unchecked
-    if not (law.a > 0 and np.isfinite(law.a)):
-        raise ParameterError(f"decay rate must be positive, got {law.a}")
-    n = whole_number("n", n, low=0)
-    return _decayed_sum(law.a, draw_log_mq(law, replication_rng(seed, rep), n + 1)[3])
-
-
-def _decayed_sum(a, log_q):
-    """log of sum_k e^{-ak} |Q_{k+1}| over the drawn log|Q|."""
-    return pool_logsumexp(-a * np.arange(log_q.size) + log_q)
-
-
 # ---------------------------------------------------------------------------
 # batch value samplers: one scalar per replication, r -> stream [seed, r].
 
@@ -183,30 +172,55 @@ def _run_jobs(one, reps, jobs):
         return np.array([row for part in parts for row in part])
 
 
-def _table_row(coeffs, forward=False):
-    """(last, sup, endpoint flag, prefix flag) of one chain's iterates."""
+# the four statistics of one chain, in row order (flags as counts)
+_CHAIN_STATS = ("last", "sup", "end", "prefix")
+
+
+def _chain_stats(coeffs, forward):
+    """The ``_CHAIN_STATS`` of one chain's iterates: the last
+    log-magnitude, its maximum, the endpoint flag and the prefix flag."""
     sign, mag, cancelled = _chain_mags(coeffs, forward=forward)
     any_zero = np.count_nonzero(sign) < sign.size
     end = int(cancelled[-1]) + int(sign[-1] == 0)
     return mag[-1], mag.max(), end, np.count_nonzero(cancelled) + int(any_zero)
 
 
-def _table(law, count, reps, seed, rep_start, jobs, chains, pakes=False):
-    """One row per replication of ``count`` iterates, from one draw: the
-    ``_table_row`` of each chain in ``chains`` (False backward, True
-    forward), then the decayed sum if ``pakes``."""
+def batch_columns(law, n, u, reps, seed, chains, pakes=False, jobs=1):
+    """Fresh (values, flags) pairs read off one draw of [nu]+1 coefficients
+    per replication 0..reps-1, keyed by (chain, "marginal" or "sup") for
+    each chain in ``chains`` ("backward", "forward") and, with ``pakes``,
+    by (None, "marginal") for the decayed sums of the drawn log|Q|.
+
+    Each column equals its sampler's output; the backward marginal reads
+    the prefix table's last entry, which ``backward_marginal_values``'
+    two-pool sum matches to roundoff.
+    """
+    count = _index_at(n, u)
+    if not set(chains) <= {"backward", "forward"}:
+        raise ParameterError(f"chains must be 'backward' or 'forward', got {chains}")
+    names = [(chain, stat) for chain in chains for stat in _CHAIN_STATS]
+    if pakes:
+        # Degenerate and HeavyNegM laws leave a unchecked
+        if not (law.a > 0 and np.isfinite(law.a)):
+            raise ParameterError(f"decay rate must be positive, got {law.a}")
+        names.append((None, "sum"))
+        decay = -law.a * np.arange(count)
 
     def one(r):
-        coeffs = draw_log_mq(law, replication_rng(seed, rep_start + r), count)
-        row = sum((_table_row(coeffs, forward) for forward in chains), ())
-        return row + (_decayed_sum(law.a, coeffs[3]),) if pakes else row
+        coeffs = draw_log_mq(law, replication_rng(seed, r), count)
+        row = sum((_chain_stats(coeffs, chain == "forward") for chain in chains), ())
+        return row + (pool_logsumexp(decay + coeffs[3]),) if pakes else row
 
-    return _run_jobs(one, reps, jobs)
-
-
-def _columns(table, value, flag):
-    """Copies of one value column and one flag column of a batch table."""
-    return table[:, value].copy(), table[:, flag].astype(np.int64)
+    table = dict(zip(names, _run_jobs(one, reps, jobs).T))
+    columns = {}
+    for chain in chains:
+        end = table[chain, "end" if chain == "backward" else "prefix"]
+        columns[chain, "marginal"] = table[chain, "last"].copy(), end.astype(np.int64)
+        columns[chain, "sup"] = table[chain, "sup"].copy(), table[chain, "prefix"].astype(np.int64)
+    if pakes:
+        sums = table[None, "sum"].copy()
+        columns[None, "marginal"] = sums, np.zeros(sums.size, dtype=np.int64)
+    return columns
 
 
 def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
@@ -224,52 +238,26 @@ def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
     return last, cancelled.astype(np.int64) + (sign == 0)
 
 
-def backward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
+def backward_sup_values(law, n, T, reps, seed, jobs=1):
     """sup over [0, T] of log|Y_{[nt]+1}| per replication."""
-    return _columns(_table(law, _index_at(n, T), reps, seed, rep_start, jobs, (False,)), 1, 3)
+    return batch_columns(law, n, T, reps, seed, ("backward",), jobs=jobs)["backward", "sup"]
 
 
-def forward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):
+def forward_marginal_values(law, n, u, reps, seed, jobs=1):
     """log|X_{[nu]+1}| per replication, started from zero; unlike the
     backward marginal's endpoint flag, its flag is the prefix flag."""
-    table = _table(law, _index_at(n, u), reps, seed, rep_start, jobs, (True,))
-    return _columns(table, 0, 3)
+    return batch_columns(law, n, u, reps, seed, ("forward",), jobs=jobs)["forward", "marginal"]
 
 
-def forward_sup_values(law, n, T, reps, seed, rep_start=0, jobs=1):
+def forward_sup_values(law, n, T, reps, seed, jobs=1):
     """sup over [0, T] of log|X_{[nt]+1}| per replication, started from zero."""
-    table = _table(law, _index_at(n, T), reps, seed, rep_start, jobs, (True,))
-    return _columns(table, 1, 3)
+    return batch_columns(law, n, T, reps, seed, ("forward",), jobs=jobs)["forward", "sup"]
 
 
-def pakes_values(law, n, reps, seed, rep_start=0, jobs=1):
-    """One sample of the sum decayed at rate ``law.a`` per replication
-    (always cancellation-free)."""
-    values = _run_jobs(
-        lambda r: simulate_pakes_sum(law, n, seed, rep_start + r), reps, jobs
-    )
-    return values, np.zeros(values.size, dtype=np.int64)
-
-
-def suite_columns(law, n, u, reps, seed, pakes=False, jobs=1):
-    """(values, flags) of each chain sampler at u, keyed by (chain,
-    "marginal" or "sup"), over replications 0..reps-1 from one draw each;
-    with ``pakes`` (u = 1 only), (None, "marginal") holds the decayed sums.
-
-    The backward marginal reads the prefix table's last entry, which its
-    sampler's two-pool sum matches to roundoff; every other column equals
-    its sampler's output.
-    """
-    table = _table(law, _index_at(n, u), reps, seed, 0, jobs, (False, True), pakes)
-    columns = {
-        ("backward", "marginal"): _columns(table, 0, 2),
-        ("backward", "sup"): _columns(table, 1, 3),
-        ("forward", "marginal"): _columns(table, 4, 7),
-        ("forward", "sup"): _columns(table, 5, 7),
-    }
-    if pakes:
-        columns[None, "marginal"] = table[:, 8].copy(), np.zeros(len(table), dtype=np.int64)
-    return columns
+def pakes_values(law, n, reps, seed, jobs=1):
+    """log of sum_{k=0}^{n} e^{-ak} |Q_{k+1}| at a = law.a per replication,
+    one positive log-space pool each (always cancellation-free)."""
+    return batch_columns(law, n, 1.0, reps, seed, (), pakes=True, jobs=jobs)[None, "marginal"]
 
 
 def write_paths_csv(paths, fp):

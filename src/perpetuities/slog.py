@@ -48,9 +48,10 @@ def signed_log_diff(pos: np.ndarray, neg: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         res = big + np.log1p(-np.exp(np.minimum(pos, neg) - big))
         near = (res - big) < _LOG_CANCEL
+    # a tie (or a NaN pool) is a clean zero only when both pools are empty
     tie = sign == 0
     mag = np.where(tie, _NEG_INF, res)
-    cancelled = np.where(tie, np.isfinite(pos) & np.isfinite(neg), near)
+    cancelled = np.where(tie, big != _NEG_INF, near)
     return sign, mag, cancelled
 
 

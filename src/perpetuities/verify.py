@@ -30,10 +30,10 @@ from .limits import sample_prm  # noqa: F401
 from .simulate import (
     backward_marginal_values,
     backward_sup_values,
+    batch_columns,
     forward_marginal_values,
     forward_sup_values,
     pakes_values,
-    suite_columns,
 )
 
 
@@ -428,14 +428,14 @@ def verify_suite(
     ``FunctionalSup`` over [0, T] when ``variant`` names a chain tag.
 
     Replications 0..R-1 are drawn once, at [nu]+1 iterates, and each check
-    reads its sample off that draw (``suite_columns``).  The equality
+    reads its sample off that draw (``batch_columns``).  The equality
     check's backward side (streams R..2R-1) and a sup at T != u draw their
     own batches, as when their checks run alone.
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
     marginals = [t for t in compatible_tags(law) if TAG_RULES[t].chain or u == 1.0]
     pakes = any(TAG_RULES[t].chain is None for t in marginals)
-    columns = suite_columns(law, n, u, R, seed, pakes=pakes, jobs=jobs)
+    columns = batch_columns(law, n, u, R, seed, ("backward", "forward"), pakes, jobs)
     reports = [
         _marginal_report(t, law, n, u, R, seed, threshold, *columns[TAG_RULES[t].chain, "marginal"])
         for t in marginals

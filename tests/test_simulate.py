@@ -17,14 +17,13 @@ from perpetuities.simulate import (
     SimScenario,
     backward_marginal_values,
     backward_sup_values,
+    batch_columns,
     forward_marginal_values,
     forward_sup_values,
     pakes_values,
     replication_rng,
     simulate_forward_chain_path,
-    simulate_pakes_sum,
     simulate_perpetuity_path,
-    suite_columns,
     write_paths_csv,
 )
 from perpetuities.slog import sign_pools, signed_log_cumsum, signed_log_diff
@@ -45,11 +44,8 @@ BATCH_SAMPLERS = {
         lambda n, reps, jobs=1: forward_sup_values(HALF, n, 1.0, reps, 0, jobs=jobs),
     "pakes_values": lambda n, reps, jobs=1: pakes_values(HALF, n, reps, 0, jobs=jobs),
 }
-# an n that no sampler takes; a Pakes sum of n + 1 terms also takes n = 0
-BAD_N = [
-    (name, n) for name in BATCH_SAMPLERS for n in (-1, 0, 2.5)
-    if (name, n) != ("pakes_values", 0)
-]
+# an n that no sampler takes
+BAD_N = [(name, n) for name in BATCH_SAMPLERS for n in (-1, 0, 2.5)]
 
 
 class TestScenario:
@@ -165,8 +161,8 @@ class TestForwardChainPath:
         # streams keep the two samples independent
         law = preset_law("cauchy")
         R, n, u = 400, 200, 1.0
-        y, fy = backward_marginal_values(law, n, u, R, seed=31)
-        x, fx = forward_marginal_values(law, n, u, R, seed=31, rep_start=R)
+        y, fy = backward_marginal_values(law, n, u, R, seed=31, rep_start=R)
+        x, fx = forward_marginal_values(law, n, u, R, seed=31)
         assert fy.sum() == 0 and fx.sum() == 0
         stat = ks_2samp(y, x, method="asymp")
         assert stat.pvalue > 0.01
@@ -208,14 +204,16 @@ class TestForwardFlags:
 class TestPakesSum:
     def test_geometric(self):
         law = CoefficientLaw("Degenerate", m0=1.0, q0=1.0, a=math.log(2.0))
-        v = simulate_pakes_sum(law, 20, seed=0)
+        v, _ = pakes_values(law, 20, 1, seed=0)
         np.testing.assert_allclose(v, math.log(2.0 * (1.0 - 2.0 ** -21)), rtol=1e-12)
 
     def test_single_term(self):
+        # the table's decayed sum runs over the [nu] + 1 = 1 drawn terms
         law = preset_law("cauchy")
-        v = simulate_pakes_sum(law, 0, seed=13)
+        v, flags = batch_columns(law, 2, 0.4, 1, 13, (), pakes=True)[None, "marginal"]
         _, _, _, lq = draw_log_mq(law, replication_rng(13, 0), 1)
         np.testing.assert_allclose(v, lq[0], rtol=1e-12)
+        assert flags.tolist() == [0]
 
     def test_huge_terms_no_overflow(self):
         # heavy tail pushes single weights far beyond float range
@@ -230,15 +228,15 @@ class TestPakesSum:
         for seed in (0, 7, 19):
             _, _, _, lq = draw_log_mq(law, replication_rng(seed, 2), 301)
             _, want, _ = signed_log_diff(*sign_pools(np.ones(301), -law.a * np.arange(301) + lq))
-            assert simulate_pakes_sum(law, 300, seed, rep=2) == want
+            assert pakes_values(law, 300, 3, seed)[0][2] == want
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            simulate_pakes_sum(CoefficientLaw("Degenerate", m0=1.0, q0=1.0, a=0.0), 5, seed=0)
-        with pytest.raises(ParameterError):
-            simulate_pakes_sum(UNIT, -1, seed=0)
-        with pytest.raises(ParameterError, match="nonnegative integer"):
-            simulate_pakes_sum(UNIT, 2.5, seed=0)
+        with pytest.raises(ParameterError, match="decay rate"):
+            pakes_values(CoefficientLaw("Degenerate", m0=1.0, q0=1.0, a=0.0), 5, 3, seed=0)
+        # n + 1 terms at n >= 1, the floor of every sampler
+        for n in (-1, 0, 2.5):
+            with pytest.raises(ParameterError, match="positive integer"):
+                pakes_values(UNIT, n, 3, seed=0)
 
 
 class TestBatchSamplers:
@@ -324,55 +322,66 @@ class TestBatchSamplers:
 
 
 class TestSharedBatches:
-    """``suite_columns``: one draw per replication, read as every sampler's
+    """``batch_columns``: one draw per replication, read as every sampler's
     columns."""
 
     LAW = preset_law("cauchy")
-
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        # counts the coefficient draws, one per replication and batch
-        calls = []
-
-        def counted(law, rng, size):
-            calls.append(size)
-            return draw_log_mq(law, rng, size)
-
-        monkeypatch.setattr(simulate_module, "draw_log_mq", counted)
-        return calls
+    LAWS = [preset_law(name) for name in ("cauchy", "regvar", "regvar1", "heavynegm")] + [
+        TestForwardFlags.FLIP
+    ]
 
     @pytest.mark.parametrize("pakes", [False, True])
-    def test_each_column_equals_its_sampler(self, draws, pakes):
-        columns = suite_columns(self.LAW, 40, 1.0, 6, seed=61, pakes=pakes, jobs=2)
-        assert len(draws) == 6
+    @settings(max_examples=25, deadline=None)
+    @given(law=st.sampled_from(LAWS), n=st.integers(1, 60),
+           u=st.floats(0.05, 2.0), reps=st.integers(1, 6), seed=st.integers(0, 2**32),
+           jobs=st.integers(1, 3))
+    def test_each_column_equals_its_sampler(self, pakes, law, n, u, reps, seed, jobs):
+        # counts the coefficient draws, one per replication and batch
+        draws = []
+
+        def counted(law, rng, size):
+            draws.append(size)
+            return draw_log_mq(law, rng, size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate_module, "draw_log_mq", counted)
+            columns = batch_columns(law, n, u, reps, seed, ("backward", "forward"), pakes, jobs)
+        assert len(draws) == reps
+        count = math.floor(n * u) + 1
         samplers = {
-            ("backward", "sup"): backward_sup_values,
-            ("forward", "marginal"): forward_marginal_values,
-            ("forward", "sup"): forward_sup_values,
+            ("backward", "sup"): backward_sup_values(law, n, u, reps, seed),
+            ("forward", "marginal"): forward_marginal_values(law, n, u, reps, seed),
+            ("forward", "sup"): forward_sup_values(law, n, u, reps, seed),
         }
-        for key, sampler in samplers.items():
-            want = sampler(self.LAW, 40, 1.0, 6, seed=61)
-            np.testing.assert_array_equal(columns[key][0], want[0])
-            np.testing.assert_array_equal(columns[key][1], want[1])
-            assert columns[key][1].dtype == want[1].dtype
+        # the decayed sum of [nu] + 1 terms is the Pakes sampler at n = [nu]
+        if pakes and count > 1:
+            samplers[None, "marginal"] = pakes_values(law, count - 1, reps, seed)
         assert ((None, "marginal") in columns) == pakes
-        if pakes:
-            want = pakes_values(self.LAW, 40, 6, seed=61)
-            for got, expected in zip(columns[None, "marginal"], want):
+        for key, want in samplers.items():
+            for got, expected in zip(columns[key], want):
                 np.testing.assert_array_equal(got, expected)
                 assert got.dtype == expected.dtype
+        v, f = backward_marginal_values(law, n, u, reps, seed)
+        w, g = columns["backward", "marginal"]
+        np.testing.assert_allclose(v, w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(f, g)
+        assert f.dtype == g.dtype
 
     def test_returned_arrays_are_fresh(self):
         # no column is a view of the table or of another column
-        columns = suite_columns(self.LAW, 40, 1.0, 6, seed=61, pakes=True)
+        columns = batch_columns(self.LAW, 40, 1.0, 6, 61, ("backward", "forward"), pakes=True)
         arrays = [a for pair in columns.values() for a in pair]
         assert all(a.base is None and a.flags.writeable for a in arrays)
         assert len({id(a) for a in arrays}) == len(arrays)
 
+    def test_rejects_an_unknown_chain(self):
+        with pytest.raises(ParameterError, match="chains must be"):
+            batch_columns(self.LAW, 40, 1.0, 6, 61, ("backward", "sideways"))
+
     def test_flags_keep_their_semantics_in_the_scope(self):
         # one flip-flop draw read as a backward marginal (endpoint flag)
         # and as a backward sup (prefix flag)
-        columns = suite_columns(TestForwardFlags.FLIP, 49, 1.0, 3, seed=3)
+        columns = batch_columns(TestForwardFlags.FLIP, 49, 1.0, 3, 3, ("backward",))
         np.testing.assert_array_equal(columns["backward", "marginal"][1], 2)
         np.testing.assert_array_equal(columns["backward", "sup"][1], 26)
 
@@ -389,7 +398,7 @@ class TestBackwardEndpoints:
     @pytest.mark.parametrize("n", [49, 400])
     def test_matches_the_table(self, law, n):
         v, f = backward_marginal_values(law, n, 1.0, 24, seed=67)
-        w, g = suite_columns(law, n, 1.0, 24, seed=67)["backward", "marginal"]
+        w, g = batch_columns(law, n, 1.0, 24, 67, ("backward",))["backward", "marginal"]
         finite = np.isfinite(w)
         np.testing.assert_array_equal(np.isfinite(v), finite)
         np.testing.assert_array_equal(v[~finite], w[~finite])
@@ -424,7 +433,8 @@ class TestBackwardEndpoints:
     def test_a_sup_in_the_scope_reuses_the_marginal_batch(self, cumsums):
         # the suite's marginal and sup columns of each chain read one scan:
         # per replication, the backward terms, then x0 and the forward terms
-        columns = suite_columns(preset_law("cauchy"), 40, 1.0, 6, seed=61, pakes=True)
+        columns = batch_columns(preset_law("cauchy"), 40, 1.0, 6, 61, ("backward", "forward"),
+                                pakes=True)
         assert cumsums == [41, 42] * 6
         for chain in ("backward", "forward"):
             assert np.all(columns[chain, "sup"][0] >= columns[chain, "marginal"][0])

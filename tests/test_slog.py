@@ -167,6 +167,16 @@ class TestArrayKernels:
         assert sign[0] == 0 and mag[0] == -np.inf and not cancelled[0]
         assert sign[1] == 1 and mag[1] == 0.0
 
+    def test_signed_log_diff_non_finite_ties_flagged(self):
+        # only two empty pools make a clean zero; an overflowed inf - inf
+        # or a NaN pool must not pass as one
+        pos = [np.inf, np.nan, np.nan, np.nan, -np.inf]
+        neg = [np.inf, 1.0, -np.inf, np.nan, np.nan]
+        sign, mag, cancelled = signed_log_diff(pos, neg)
+        np.testing.assert_array_equal(sign, 0)
+        np.testing.assert_array_equal(mag, -np.inf)
+        assert cancelled.all()
+
     def test_signed_log_diff_exact_tie_flagged(self):
         sign, mag, cancelled = signed_log_diff([2.0], [2.0])
         assert sign[0] == 0 and cancelled[0]

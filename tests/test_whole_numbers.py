@@ -22,7 +22,6 @@ from perpetuities.simulate import (
     pakes_values,
     replication_rng,
     simulate_forward_chain_path,
-    simulate_pakes_sum,
     simulate_perpetuity_path,
 )
 from perpetuities.verify import (
@@ -99,16 +98,15 @@ COUNTS = [
             ("rep", lambda v, path=path: path(SimScenario(CAUCHY, 10), rep=v)),
         )
     ),
-    *_each_count("simulate_pakes_sum", lambda **kw: simulate_pakes_sum(CAUCHY, **kw),
-                 dict(n=10, seed=0, rep=0), dict(n=0, seed=0, rep=0)),
     *(
         entry
         for name, call in _BATCH.items()
         for entry in _each_count(
-            name, call, dict(n=10, reps=3, seed=0, rep_start=0, jobs=1),
-            dict(n=0 if name == "pakes_values" else 1, reps=1, seed=0, rep_start=0, jobs=1),
+            name, call, dict(n=10, reps=3, seed=0, jobs=1), dict(n=1, reps=1, seed=0, jobs=1),
         )
     ),
+    *_each_count("backward_marginal_values", _BATCH["backward_marginal_values"],
+                 dict(n=10, reps=3, seed=0, jobs=1), dict(rep_start=0)),
     ("PrmSpec.seed", lambda v: PrmSpec(**SPEC, seed=v), 0),
     ("sample_prm.rep", lambda v: sample_prm(PrmSpec(**SPEC), v), 0),
     *_each_count(
