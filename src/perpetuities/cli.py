@@ -47,6 +47,8 @@ from .limits import (
 )
 from .simulate import (
     SimScenario,
+    _csv_rows,
+    _reprs,
     simulate_forward_chain_path,
     simulate_perpetuity_path,
     write_paths_csv,
@@ -285,8 +287,7 @@ def _cmd_limits(args) -> int:
             fh.write("rep,time,mark\n")
             for r in range(args.R):
                 pm = sample_prm(spec, rep=r)
-                for t, y in zip(pm.times, pm.marks):
-                    fh.write(f"{r},{float(t)!r},{float(y)!r}\n")
+                fh.write(_csv_rows(r, _reprs(pm.times), _reprs(pm.marks)))
         print(f"wrote atom samples for {args.R} replications")
         return 0
 

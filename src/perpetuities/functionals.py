@@ -252,10 +252,8 @@ def check_conditions(inst: ConvergenceInstance, T: float, gamma: float) -> Condi
     results.append(ConditionResult("count-growth", status, detail))
 
     # stage paths approach the limit path
-    dists = [
-        j1_distance(restrict_path(f, T), restrict_path(inst.f_limit, T))
-        for f in inst.f_seq
-    ]
+    limit = restrict_path(inst.f_limit, T)
+    dists = [j1_distance(restrict_path(f, T), limit) for f in inst.f_seq]
     results.append(ConditionResult("path-convergence", *_trend_status(dists, "path distance")))
 
     # stage measures approach the limit measure above the gamma level

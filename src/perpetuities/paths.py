@@ -13,8 +13,12 @@ the two jumps, and every segment overlap induced by the pairing costs the
 value mismatch.  Unpaired jumps between two pairs may come in any order at
 no time cost, so the result can fall below the metric proper where an
 unpaired jump would have to cross a jump of the other path.  One pass of a min/max dynamic
-program over the (segment of f, segment of g) lattice computes it exactly,
-in O(pq) time and O(p+q) memory for p and q jumps.
+program over the (segment of f, segment of g) lattice computes it exactly.
+The pass visits only the cells whose value gap is at most the uniform
+distance: the identity time change costs exactly that, so no optimal
+staircase enters any other cell, and dropping them changes no bit of the
+result.  Time is O(pq) in the worst case and O(p+q) memory, for p and q
+jumps.
 """
 
 from __future__ import annotations
@@ -126,11 +130,20 @@ def uniform_distance(f: StepPath, g: StepPath) -> float:
 def j1_distance(f: StepPath, g: StepPath) -> float:
     """Skorokhod J1 distance over jump-aligned piecewise linear time changes.
 
-    Always at most ``uniform_distance(f, g)`` (the identity time change is
-    admissible).  It can report less than the J1 distance: the pairing
-    model lets an unpaired jump cross a jump of the other path at no time
-    cost (f jumping at 0.9 and g at 0.1 on [0, 1] gives the gap of the
-    two jump sizes, not the larger size).
+    Always at most ``upper = uniform_distance(f, g)`` (the identity time
+    change is admissible).  It can report less than the J1 distance: the
+    pairing model lets an unpaired jump cross a jump of the other path at
+    no time cost (f jumping at 0.9 and g at 0.1 on [0, 1] gives the gap of
+    the two jump sizes, not the larger size).
+
+    The lattice pass visits only the cells whose value gap is at most
+    ``upper``, and the first cell after each run of them; every other
+    cell counts as unreachable.  A staircase through a dropped cell costs
+    more than ``upper``, which the identity staircase achieves, so it is
+    never optimal.  Every value the pass computes is either the full
+    lattice's value, bit for bit, or above ``upper``, since it takes only
+    min and max of the same costs; the result, at most ``upper``, is
+    therefore exact.  Worst-case time is still O(pq), memory O(p+q).
     """
     _check_same_horizon(f, g)
     upper = uniform_distance(f, g)
@@ -138,29 +151,46 @@ def j1_distance(f: StepPath, g: StepPath) -> float:
         return 0.0
     # row i of the lattice: best[j] is the least achievable max-cost over
     # staircases from (0, 0) to (i, j), i.e. to f's segment i against g's
-    # segment j; a step up leaves a jump of f unpaired, a step right one of
-    # g, and a diagonal step pairs the two jumps at their time displacement
+    # segment j, and inf at a dropped cell; a step up leaves a jump of f
+    # unpaired, a step right one of g, and a diagonal step pairs the two
+    # jumps at their time displacement
     T = f.horizon
-    fv, gv = f.values, g.values
-    b = g.times
+    gv = g.values
+    # b[j] is the jump of g that starts its segment j, inf for segment 0;
     # a jump exactly at the horizon can only pair with another one there,
-    # because admissible time changes fix the horizon
-    b_at_T = b == T
-    best = np.maximum.accumulate(np.abs(fv[0] - gv))
-    for i, t in enumerate(f.times, start=1):
-        pair_cost = np.abs(t - b)
-        pair_cost[b_at_T != (t == T)] = np.inf
-        enter = np.minimum(best[1:], np.maximum(best[:-1], pair_cost)).tolist()
-        gap = np.abs(fv[i] - gv).tolist()
-        x = max(gap[0], float(best[0]))
-        row = [x]
-        for d, e in zip(gap[1:], enter):
+    # because admissible time changes fix the horizon, so a jump of f
+    # before T sees g's jump at T as inf, and one at T sees all others so
+    b = np.concatenate(([np.inf], g.times))
+    b_before = np.where(b == T, np.inf, b)
+    b_at = np.where(b == T, T, np.inf)
+    # the start cell (0, 0) is entered from a virtual row below it
+    best = np.full(gv.size, np.inf)
+    best[0] = -np.inf
+    a = f.times.tolist()
+    for i, fi in enumerate(f.values.tolist()):
+        # the cost of each cell of the row: the value gap of its segments
+        cost = np.abs(fi - gv)
+        visit = cost <= upper
+        # the first dropped cell after a run of kept ones costs more than
+        # upper, so a run never carries its value across dropped cells
+        visit[1:] |= visit[:-1]
+        cols = np.flatnonzero(visit)
+        enter = best[cols]
+        if i:
+            t = a[i - 1]
+            pair = np.abs(t - (b_at if t == T else b_before)[cols])
+            # cols - 1 wraps round at column 0, where the pair cost is inf
+            enter = np.minimum(enter, np.maximum(best[cols - 1], pair))
+        row = []
+        x = np.inf
+        for d, e in zip(cost[cols].tolist(), enter.tolist()):
             if e < x:
                 x = e
             if d > x:
                 x = d
             row.append(x)
-        best = np.array(row)
+        best = np.full(gv.size, np.inf)
+        best[cols] = row
     return float(best[-1])
 
 

@@ -260,12 +260,38 @@ def pakes_values(law, n, reps, seed, jobs=1):
     return batch_columns(law, n, 1.0, reps, seed, (), pakes=True, jobs=jobs)[None, "marginal"]
 
 
+def _reprs(a) -> list:
+    """``repr`` of each float of the array ``a``, in one C loop."""
+    return list(map(repr, a.tolist()))
+
+
+def _csv_rows(rep, left, right) -> str:
+    """The rows ``rep,left[k],right[k]`` of two string columns of one
+    length, laid out by list slicing and joined in C, so no Python
+    bytecode runs per row."""
+    rows = [f"{rep},", None, ",", None, "\n"] * len(left)
+    rows[1::5] = left
+    rows[3::5] = right
+    return "".join(rows)
+
+
 def write_paths_csv(paths, fp):
-    """Consolidated (rep, t, value) rows for a batch of step paths."""
+    """Consolidated (rep, t, value) rows for a batch of step paths, one
+    write per path.
+
+    Each distinct time is formatted once: a time that the previous path
+    also holds reuses that path's string, so a grid shared across
+    replications is formatted for the first path only.
+    """
     fp.write("rep,t,value\n")
+    prev_t, prev_s = np.empty(0), np.empty(0, dtype=object)
     for i, p in enumerate(paths):
-        rep = p.meta.get("rep", i)
-        values = p.values.tolist()
-        rows = [f"{rep},{0.0!r},{values[0]!r}\n"]
-        rows += [f"{rep},{t!r},{v!r}\n" for t, v in zip(p.times.tolist(), values[1:])]
-        fp.write("".join(rows))
+        t = np.concatenate(([0.0], p.times))
+        pos = np.searchsorted(prev_t, t)
+        seen = pos < prev_t.size
+        seen[seen] = prev_t[pos[seen]] == t[seen]
+        s = np.empty(t.size, dtype=object)
+        s[seen] = prev_s[pos[seen]]
+        s[~seen] = np.array(_reprs(t[~seen]), dtype=object)
+        fp.write(_csv_rows(p.meta.get("rep", i), s.tolist(), _reprs(p.values)))
+        prev_t, prev_s = t, s

@@ -11,6 +11,7 @@ import perpetuities.functionals as functionals
 import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
 from perpetuities.laws import classify_regime, draw_log_mq, preset_law
+from perpetuities.limits import PrmSpec, sample_prm
 from perpetuities.verify import (
     verify_forward_backward_equality,
     verify_functional_sup,
@@ -194,6 +195,19 @@ class TestLimitsSampling:
             rep, t, mark = row.split(",")
             assert int(rep) in (0, 1, 2)
             assert 0.0 <= float(t) <= 2.0 and float(mark) > 0.5
+
+    def test_prm_rows_match_per_atom_writer(self, capsys, tmp_path):
+        # about one atom per replication, so some replications have none
+        argv = ["--c", "1", "--alpha", "1", "--T", "1", "--gamma", "1", "--R", "12"]
+        code, _, _ = run(capsys, "limits", "prm", *argv, "--out", str(tmp_path))
+        assert code == 0
+        spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=1.0)
+        atoms = [sample_prm(spec, rep=r) for r in range(12)]
+        assert min(pm.count for pm in atoms) == 0 < max(pm.count for pm in atoms)
+        rows = [f"{r},{float(t)!r},{float(y)!r}\n"
+                for r, pm in enumerate(atoms) for t, y in zip(pm.times, pm.marks)]
+        text = (tmp_path / "limits_prm.csv").read_text()
+        assert text.split("\n", 1)[1] == "rep,time,mark\n" + "".join(rows)
 
     def test_extremal_paths(self, capsys, tmp_path):
         code, _, _ = run(

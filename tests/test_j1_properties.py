@@ -17,9 +17,9 @@ VALUES = st.one_of(
 
 
 @st.composite
-def paths(draw, max_jumps=6):
-    times = sorted(draw(st.sets(st.sampled_from(GRID), max_size=max_jumps)))
-    values = draw(st.lists(VALUES, min_size=len(times) + 1, max_size=len(times) + 1))
+def paths(draw, grid=GRID, values=VALUES, max_jumps=6):
+    times = sorted(draw(st.sets(st.sampled_from(grid), max_size=max_jumps)))
+    values = draw(st.lists(values, min_size=len(times) + 1, max_size=len(times) + 1))
     return StepPath(1.0, times, values)
 
 
@@ -49,4 +49,16 @@ def test_between_endpoint_gaps_and_uniform_distance(f, g):
 @settings(max_examples=300, deadline=None)
 @given(paths(), paths())
 def test_matches_minmax_oracle(f, g):
+    assert j1_distance(f, g) == j1_minmax_oracle(f, g)
+
+
+# tied paths: quarter-integer values and jump times on a 1/40 grid that
+# ends at the horizon, so many cell gaps equal the uniform bound exactly
+TIED = dict(grid=[k / 40 for k in range(1, 41)],
+            values=st.integers(-8, 8).map(lambda k: k / 4), max_jumps=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(paths(**TIED), paths(**TIED))
+def test_tied_paths_match_minmax_oracle_exactly(f, g):
     assert j1_distance(f, g) == j1_minmax_oracle(f, g)

@@ -246,6 +246,14 @@ class TestJ1Distance:
             g = random_path(rng, n_jumps=rng.integers(0, 8))
             assert j1_distance(f, g) <= uniform_distance(f, g) + 1e-12
 
+    def test_keeps_cells_whose_gap_equals_the_uniform_bound(self):
+        # g is flat, so the only staircase runs through (0, 0), (1, 0) and
+        # (2, 0); its middle cell's gap is exactly the uniform distance
+        f = StepPath(1.0, [0.3, 0.6], [0.0, 1.0, 0.0])
+        g = StepPath(1.0, [], [0.0])
+        assert abs(f.values[1] - g.values[0]) == uniform_distance(f, g) == 1.0
+        assert j1_distance(f, g) == j1_minmax_oracle(f, g) == 1.0
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
     def test_unpaired_jumps_do_not_cross_for_free(self):
         # pairing the jumps costs 0.8 of time; unpaired, f's jump at 0.9

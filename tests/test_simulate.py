@@ -12,6 +12,7 @@ from scipy.stats import ks_2samp
 
 from perpetuities.errors import ParameterError, StatisticalError
 from perpetuities.laws import PRESET_NAMES, CoefficientLaw, draw_log_mq, preset_law
+from perpetuities.paths import StepPath
 import perpetuities.simulate as simulate_module
 from perpetuities.simulate import (
     SimScenario,
@@ -484,7 +485,56 @@ class TestPathAsymptotics:
         assert np.std(ends) < 0.05
 
 
+def write_paths_csv_oracle(paths, fp):
+    """One f-string per row, two float reprs each: the writer that
+    ``write_paths_csv`` must match byte for byte."""
+    fp.write("rep,t,value\n")
+    for i, p in enumerate(paths):
+        rep = p.meta.get("rep", i)
+        values = p.values.tolist()
+        rows = [f"{rep},{0.0!r},{values[0]!r}\n"]
+        rows += [f"{rep},{t!r},{v!r}\n" for t, v in zip(p.times.tolist(), values[1:])]
+        fp.write("".join(rows))
+
+
+# floats whose repr takes every form: signed zero, exponent notation,
+# subnormal, and the largest finite double
+EDGE_FLOATS = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3]
+CSV_TIMES = st.floats(0.0, 1.0, exclude_min=True)
+CSV_VALUES = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def path_batches(draw):
+    """Paths on [0, 1] whose jump times repeat a shared grid wholly, in
+    part or not at all, or that have no jumps; some carry no ``rep``."""
+    grid = sorted(draw(st.sets(CSV_TIMES | st.sampled_from([1.0, 5e-324]), max_size=8)))
+    batch = []
+    for _ in range(draw(st.integers(0, 5))):
+        share = draw(st.sampled_from(["shared", "part", "own", "none"]))
+        own = draw(st.sets(CSV_TIMES, max_size=5))
+        if share == "shared":
+            times = grid
+        elif share == "part":
+            times = sorted({t for t in grid if draw(st.booleans())} | own)
+        else:
+            times = sorted(own) if share == "own" else []
+        values = draw(st.lists(CSV_VALUES, min_size=len(times) + 1, max_size=len(times) + 1))
+        meta = {"rep": draw(st.integers(0, 99))} if draw(st.booleans()) else {}
+        batch.append(StepPath(1.0, times, values, meta=meta))
+    return batch
+
+
 class TestCsvOutput:
+    @settings(max_examples=300, deadline=None)
+    @given(path_batches())
+    def test_matches_per_row_writer(self, paths):
+        out, ref = io.StringIO(), io.StringIO()
+        write_paths_csv(paths, out)
+        write_paths_csv_oracle(paths, ref)
+        assert out.getvalue() == ref.getvalue()
+
     def test_consolidated_rows(self):
         paths = [
             simulate_perpetuity_path(SimScenario(UNIT, n=2, T=1.0, seed=1), rep=r)
