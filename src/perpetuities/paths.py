@@ -15,10 +15,10 @@ no time cost, so the result can fall below the metric proper where an
 unpaired jump would have to cross a jump of the other path.  One pass of a min/max dynamic
 program over the (segment of f, segment of g) lattice computes it exactly.
 The pass visits only the cells whose value gap is at most the uniform
-distance: the identity time change costs exactly that, so no optimal
-staircase enters any other cell, and dropping them changes no bit of the
-result.  Time is O(pq) in the worst case and O(p+q) memory, for p and q
-jumps.
+distance, and the cell that ends each run of them: the identity time
+change costs exactly that distance, so no optimal staircase enters any
+other cell, and dropping them changes no bit of the result.  Time is
+O(pq) in the worst case and O(p+q) memory, for p and q jumps.
 """
 
 from __future__ import annotations
