@@ -112,7 +112,6 @@ _RUN_FLAGS = {
     "u": dict(type=float, default=1.0),
     "R": dict(type=_int_at_least(1), default=1000),
     "seed": dict(type=_int_at_least(0), default=0),
-    "threshold": dict(type=float),
 }
 
 
@@ -308,7 +307,7 @@ def _cmd_limits(args) -> int:
 
 def _run_verification(args, law, tag):
     """The reports of one check, or of the full suite when ``tag`` is None."""
-    common = dict(seed=args.seed, threshold=args.threshold, jobs=args.jobs)
+    common = dict(seed=args.seed, jobs=args.jobs)
     if tag is None:
         return verify_suite(law, args.n, args.u, args.T, args.R, variant=args.variant, **common)
     if tag == "ForwardBackwardEquality":

@@ -219,12 +219,18 @@ def check_conditions(inst: ConvergenceInstance, T: float, gamma: float) -> Condi
     else:
         results.append(ConditionResult("distinct-times", FAIL, "duplicated atom times"))
 
-    # record levels separated, and small-mark records reach above zero;
-    # only the mixed-sign case needs either clause
-    if not inst.mixed_signs:
-        status, detail = PASS, "single-signed input, not required"
+    # the earliest record level is nonnegative, since F_n tends to max(G, 0);
+    # only the mixed-sign case needs separated levels and a small-mark record
+    # above zero
+    levels = inst.f_limit.values_at(t0) + y0
+    start = levels[t0 > 0.0][:1]
+    if start.size and start[0] < 0.0:
+        status, detail = FAIL, f"earliest record level {start[0]:.3g} < 0"
+    elif not inst.mixed_signs:
+        status, detail = PASS, "single-signed input, separation not required"
+        if start.size:
+            detail += f"; earliest record level {start[0]:.3g} >= 0"
     else:
-        levels = inst.f_limit.values_at(t0) + y0
         gaps = np.diff(np.sort(levels))
         if gaps.size and np.min(gaps) <= LEVEL_TOL:
             status, detail = FAIL, f"record levels collide within {LEVEL_TOL:g}"

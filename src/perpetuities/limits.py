@@ -12,6 +12,7 @@ marginal distributions.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,13 @@ from .paths import PointMeasure, StepPath, _collapse_running
 from .simulate import _run_jobs, replication_rng
 
 DEFAULT_GRID_CELLS = 10_000
+# largest forward-path grid accepted; keeps each path's arrays within a
+# few hundred MB, against 10**4 cells by default
+MAX_GRID_CELLS = 10**7
+# largest mean atom count of one draw accepted, so the arrays of a draw
+# stay small; the package itself uses at most about 250 (gamma = 0.004
+# at c = 1), and a verify sup side at c/a = 1 uses 200
+MAX_MEAN_COUNT = 10**6
 
 
 class LimitKind(enum.Enum):
@@ -61,6 +69,10 @@ class PrmSpec:
                 raise ParameterError(f"{name} must be positive and finite, got {v}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "seed", whole_number("seed", self.seed, low=0))
+        # in logs, since gamma**-alpha can overflow a float
+        digits = math.log10(self.T) + math.log10(self.c) - self.alpha * math.log10(self.gamma)
+        if digits > math.log10(MAX_MEAN_COUNT):
+            raise ParameterError(f"mean atom count 10^{digits:.3g} exceeds {MAX_MEAN_COUNT:.0e}")
 
     @property
     def mean_count(self) -> float:
@@ -109,6 +121,9 @@ def extremal_path(pm: PointMeasure, kind: LimitKind, grid_step: float | None = N
         step = T / DEFAULT_GRID_CELLS if grid_step is None else float(grid_step)
         if not (np.isfinite(step) and step > 0):
             raise ParameterError(f"grid step must be positive, got {step}")
+        if T / step > MAX_GRID_CELLS:
+            raise ParameterError(f"grid step {step:g} makes {T / step:.3g} cells, "
+                                 f"over {MAX_GRID_CELLS:.0e}")
         grid = np.unique(np.concatenate([np.arange(0.0, T, step), [T], pm.times]))
         if pm.count:
             running = np.maximum.accumulate(scores)

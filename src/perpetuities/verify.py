@@ -2,8 +2,9 @@
 
 The checks are Kolmogorov-Smirnov distances between scaled simulation
 output and either a closed-form distribution or a sample from the limit
-process itself. Reports carry the raw distance next to the threshold so
-a caller can re-judge with a different tolerance without rerunning.
+process itself. Each check judges D by its own fixed gate; reports carry
+D next to that gate, so a caller can re-judge with a different tolerance
+without rerunning.
 """
 
 from __future__ import annotations
@@ -266,7 +267,6 @@ def verify_marginal(
     u: float,
     R: int,
     seed: int,
-    threshold: float | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
     """One-sample KS check of a scaled time-u marginal against its limit law.
@@ -274,8 +274,7 @@ def verify_marginal(
     The sample is the corresponding chain (or decayed sum) at index
     [nu]+1, scaled by ``a n`` in the drift regime and ``b_n`` in the peak
     regime; degenerate replications are dropped before the test.  The
-    check passes when D is at most ``threshold``, by default the
-    absolute bound ``DEFAULT_D_BOUND``.
+    check passes when D is at most the absolute bound ``DEFAULT_D_BOUND``.
     """
     tag = canonical_tag(tag)
     rule = TAG_RULES.get(tag)
@@ -294,10 +293,10 @@ def verify_marginal(
         sample = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
     else:
         sample = pakes_values(law, n, R, seed, jobs=jobs)
-    return _marginal_report(tag, law, n, u, R, seed, threshold, *sample)
+    return _marginal_report(tag, law, n, u, R, seed, *sample)
 
 
-def _marginal_report(tag, law, n, u, R, seed, threshold, values, flags):
+def _marginal_report(tag, law, n, u, R, seed, values, flags):
     """The report of ``verify_marginal`` on its drawn sample."""
     rule = TAG_RULES[tag]
     samples, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
@@ -308,7 +307,7 @@ def _marginal_report(tag, law, n, u, R, seed, threshold, values, flags):
         R=R,
         u=u,
         D=D,
-        threshold=float(DEFAULT_D_BOUND if threshold is None else threshold),
+        threshold=DEFAULT_D_BOUND,
         degenerate=degenerate,
         seed=int(seed),
         detail=f"source=simulation family={law.family}",
@@ -321,28 +320,27 @@ def verify_forward_backward_equality(
     u: float,
     R: int,
     seed: int,
-    threshold: float | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
     """Two-sample KS check that both chains share one fixed-n marginal.
 
     The forward chain starts at zero, the only start at which the two
     agree in law. The two sides use disjoint replication streams;
-    equal streams would make the check vacuously tight.
+    equal streams would make the check vacuously tight. The check passes
+    when D is at most the 1% two-sample critical value of the kept
+    sample sizes.
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
     forward = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
-    return _equality_report(law, n, u, R, seed, threshold, jobs, *forward)
+    return _equality_report(law, n, u, R, seed, jobs, *forward)
 
 
-def _equality_report(law, n, u, R, seed, threshold, jobs, fwd, fwd_flags):
+def _equality_report(law, n, u, R, seed, jobs, fwd, fwd_flags):
     """The report of ``verify_forward_backward_equality`` on its drawn
     forward side (streams 0..R-1); the backward side uses R..2R-1."""
     bwd, bwd_flags = backward_marginal_values(law, n, u, R, seed, rep_start=R, jobs=jobs)
     fwd_good, fwd_bad = _screen_degenerate("forward side", fwd, fwd_flags, R)
     bwd_good, bwd_bad = _screen_degenerate("backward side", bwd, bwd_flags, R)
-    if threshold is None:
-        threshold = two_sample_threshold(fwd_good.size, bwd_good.size)
     D = two_sample_ks(fwd_good, bwd_good)
     return VerificationReport(
         tag="ForwardBackwardEquality",
@@ -350,7 +348,7 @@ def _equality_report(law, n, u, R, seed, threshold, jobs, fwd, fwd_flags):
         R=R,
         u=u,
         D=D,
-        threshold=float(threshold),
+        threshold=two_sample_threshold(fwd_good.size, bwd_good.size),
         degenerate=fwd_bad + bwd_bad,
         seed=int(seed),
         detail=f"family={law.family}",
@@ -364,7 +362,6 @@ def verify_functional_sup(
     T: float,
     R: int,
     seed: int,
-    threshold: float | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
     """Two-sample KS check of path suprema over [0, T].
@@ -373,7 +370,8 @@ def verify_functional_sup(
     the other is the sup over [0, T] of an independently sampled limit
     path (replication streams R..2R-1), read as the endpoint value for
     the backward and peak kinds and as the largest mark up to T for the
-    forward kind.
+    forward kind. The check passes when D is at most the 1% two-sample
+    critical value of the kept sample sizes.
     """
     tag = canonical_tag(tag)
     rule = TAG_RULES.get(tag)
@@ -385,10 +383,10 @@ def verify_functional_sup(
         sample = backward_sup_values(law, n, T, R, seed, jobs=jobs)
     else:
         sample = forward_sup_values(law, n, T, R, seed, jobs=jobs)
-    return _sup_report(tag, law, n, T, R, seed, threshold, jobs, *sample)
+    return _sup_report(tag, law, n, T, R, seed, jobs, *sample)
 
 
-def _sup_report(tag, law, n, T, R, seed, threshold, jobs, values, flags):
+def _sup_report(tag, law, n, T, R, seed, jobs, values, flags):
     """The report of ``verify_functional_sup`` on its drawn sample."""
     rule = TAG_RULES[tag]
     sim_good, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
@@ -396,8 +394,6 @@ def _sup_report(tag, law, n, T, R, seed, threshold, jobs, values, flags):
     kind = LimitKind.PEAK if rule.kind is LimitKind.FORWARD else rule.kind
     spec = rule.limit_spec(law, T, seed)
     lim = limit_marginal_values(kind, spec, R, u=T, rep_start=R, jobs=jobs)
-    if threshold is None:
-        threshold = two_sample_threshold(sim_good.size, lim.size)
     D = two_sample_ks(sim_good, lim)
     return VerificationReport(
         tag="FunctionalSup",
@@ -405,7 +401,7 @@ def _sup_report(tag, law, n, T, R, seed, threshold, jobs, values, flags):
         R=R,
         u=T,
         D=D,
-        threshold=float(threshold),
+        threshold=two_sample_threshold(sim_good.size, lim.size),
         degenerate=degenerate,
         seed=int(seed),
         detail=f"variant={tag} family={law.family}",
@@ -420,7 +416,6 @@ def verify_suite(
     R: int,
     seed: int,
     variant=None,
-    threshold: float | None = None,
     jobs: int = 1,
 ) -> list:
     """The full suite for the law's family: each compatible marginal tag (a
@@ -437,19 +432,19 @@ def verify_suite(
     pakes = any(TAG_RULES[t].chain is None for t in marginals)
     columns = batch_columns(law, n, u, R, seed, ("backward", "forward"), pakes, jobs)
     reports = [
-        _marginal_report(t, law, n, u, R, seed, threshold, *columns[TAG_RULES[t].chain, "marginal"])
+        _marginal_report(t, law, n, u, R, seed, *columns[TAG_RULES[t].chain, "marginal"])
         for t in marginals
     ]
     forward = columns["forward", "marginal"]
-    reports.append(_equality_report(law, n, u, R, seed, threshold, jobs, *forward))
+    reports.append(_equality_report(law, n, u, R, seed, jobs, *forward))
     rule = TAG_RULES.get(None if variant is None else canonical_tag(variant))
     if rule is None or rule.chain is None:
         return reports
     if T != u:
-        return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed, threshold, jobs)]
+        return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed, jobs)]
     rule.check_family(law)
     sample = columns[rule.chain, "sup"]
-    return reports + [_sup_report(rule.tag, law, n, T, R, seed, threshold, jobs, *sample)]
+    return reports + [_sup_report(rule.tag, law, n, T, R, seed, jobs, *sample)]
 
 
 def compatible_tags(law: CoefficientLaw):

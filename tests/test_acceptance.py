@@ -171,7 +171,7 @@ class TestAcceptance:
             assert np.isclose(compute_bn(law, 5000), 5000.0 ** 2, rtol=1e-9)
             reports[name] = verify_marginal(
                 "thm15-backward", law, 5000, 1.0, 2000,
-                seed=61 if name == "regvar" else 62, threshold=0.06,
+                seed=61 if name == "regvar" else 62,
             )
         ok = all(r.D <= 0.06 and r.passed for r in reports.values())
         _report(6, ok, "b_n = n^2; D vs exp(-x^-0.5): "
@@ -298,8 +298,7 @@ class TestAcceptance:
                             "--alpha", "1", "--T", "1", "--gamma", "0.1", "--R", "3",
                             "--grid-step", "0.25", "--seed", "4"],
             "verify": ["verify", "--theorem", "thm11-backward", "--law", "cauchy",
-                       "--n", "300", "--u", "1", "--R", "200", "--seed", "7",
-                       "--threshold", "0.2"],
+                       "--n", "300", "--u", "1", "--R", "200", "--seed", "7"],
             "theorem21": ["theorem21", "--instance", "mixed-sign",
                           "--ns", "100,400,1600"],
             "classify": ["classify", "--law", "cauchy"],
@@ -312,7 +311,13 @@ class TestAcceptance:
                 out.mkdir(parents=True)
                 code = main(argv + ["--out", str(out), "--jobs", jobs])
                 capsys.readouterr()
-                assert code == 0, f"{name} exited {code}"
+                if name == "verify":
+                    # the subject is byte identity; at R = 200 the check may fail its gate
+                    assert code in (0, 2), f"{name} exited {code}"
+                    reports = json.loads((out / "verify_reports.json").read_text())["reports"]
+                    assert all(r["D"] <= 0.2 for r in reports)
+                else:
+                    assert code == 0, f"{name} exited {code}"
                 outputs.append({
                     p.name: p.read_bytes() for p in sorted(out.iterdir())
                 })

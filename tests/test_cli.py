@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import csv
 import json
 import re
 
@@ -13,6 +14,7 @@ from perpetuities.cli import main
 from perpetuities.laws import classify_regime, draw_log_mq, preset_law
 from perpetuities.limits import PrmSpec, sample_prm
 from perpetuities.verify import (
+    two_sample_threshold,
     verify_forward_backward_equality,
     verify_functional_sup,
     verify_marginal,
@@ -90,9 +92,12 @@ class TestDomainChecks:
          "--R", "100"),
         ("verify", "--n", "2.5", "--R", "100"),
         ("simulate", "--n", "0", "--R", "1"),
+        ("limits", "prm", "--R", "2", "--gamma", "1e-9"),
+        ("limits", "path", "--kind", "forward", "--R", "1", "--grid-step", "1e-12"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
             "ns-fraction", "verify-gamma", "R-abc", "functionalsup-no-variant", "seed-negative",
-            "limits-seed-negative", "variant-unknown", "n-fraction", "n-zero"])
+            "limits-seed-negative", "variant-unknown", "n-fraction", "n-zero",
+            "prm-tiny-gamma", "path-tiny-grid-step"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
@@ -126,13 +131,13 @@ class TestUnreadFlags:
         (("limits", "path", "--R", "1"), {"u": 0.5}),
         (("theorem21",), {"R": 5}),
         (("theorem21", "--instance", "single-atom", "--n", "10.5"), None),
-        (("verify", "--theorem", "thm11-backward", "--n", "50", "--R", "100", "--thr", "0.9"),
-         None),
+        (("verify", "--theorem", "thm11-backward", "--n", "50", "--R", "100",
+          "--threshold", "0.2"), None),
         (("simulate", "--n", "5", "--R", "1", "--ch", "forward"), None),
     ], ids=["simulate-u", "cdf-seed", "cdf-grid-step", "prm-kind", "path-n",
             "theorem21-R", "theorem21-threshold", "classify-n", "classify-config-n",
             "cdf-config-seed", "path-config-u", "theorem21-config-R",
-            "theorem21-prefix-of-ns", "verify-prefix-of-threshold",
+            "theorem21-prefix-of-ns", "verify-threshold",
             "simulate-prefix-of-chain"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv, doc):
         if doc is not None:
@@ -160,9 +165,8 @@ class TestConfigKeys:
          {"mode", "T", "R", "seed", "c", "alpha", "gamma"}),
         (("limits", "path", "--R", "1", "--grid-step", "0.5"), "limits_paths.csv",
          {"mode", "T", "R", "seed", "c", "alpha", "gamma", "kind", "grid_step"}),
-        (("verify", "--theorem", "functionalsup", "--n", "50", "--R", "100",
-          "--threshold", "1"), "verify_summary.csv",
-         {"law", "n", "T", "u", "R", "seed", "threshold", "theorem", "variant"}),
+        (("verify", "--theorem", "functionalsup", "--n", "50", "--R", "100"),
+         "verify_summary.csv", {"law", "n", "T", "u", "R", "seed", "theorem", "variant"}),
         (("verify", "--theorem", "thm11-backward", "--variant", "thm11-forward",
           "--n", "50", "--R", "100"), "verify_summary.csv",
          {"law", "n", "T", "u", "R", "seed", "theorem"}),
@@ -267,19 +271,24 @@ class TestVerifyCommand:
         assert len(summary) == 3
 
     def test_failing_threshold_exit_code(self, capsys, tmp_path):
+        # at n = 2 the scaled chain is far from its limit law (D near 0.3)
         code, out, _ = run(
-            capsys, "verify", "--theorem", "thm11-backward", "--n", "500",
-            "--R", "150", "--threshold", "0.0001", "--out", str(tmp_path),
+            capsys, "verify", "--theorem", "thm11-backward", "--n", "2",
+            "--R", "150", "--out", str(tmp_path),
         )
         assert code == 2 and "FAIL" in out
+        (rep,) = json.loads((tmp_path / "verify_reports.json").read_text())["reports"]
+        assert rep["D"] > rep["threshold"] and rep["pass"] is False
 
     def test_suite_mode(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "verify", "--n", "400", "--R", "150", "--seed", "2",
-            "--threshold", "0.2", "--out", str(tmp_path),
+            "--out", str(tmp_path),
         )
-        assert code == 0
+        # the subject is the tag order; at R = 150 a marginal may fail its gate
+        assert code in (0, 2)
         doc = json.loads((tmp_path / "verify_reports.json").read_text())
+        assert all(r["D"] <= 0.2 for r in doc["reports"])
         tags = [r["tag"] for r in doc["reports"]]
         assert tags == [
             "Thm11-backward",
@@ -307,10 +316,30 @@ class TestVerifyCommand:
     def test_functional_variant(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "verify", "--theorem", "functionalsup", "--variant",
-            "thm11-backward", "--n", "400", "--R", "150", "--threshold", "0.3",
-            "--out", str(tmp_path),
+            "thm11-backward", "--n", "400", "--R", "150", "--out", str(tmp_path),
         )
         assert code == 0
+        (rep,) = json.loads((tmp_path / "verify_reports.json").read_text())["reports"]
+        assert rep["D"] <= 0.3
+
+    def test_each_gate_is_its_checks_rule(self, capsys, tmp_path):
+        # marginals are judged by the absolute bound 0.05, the two-sample
+        # checks by the 1% critical value of their kept sample sizes
+        R = 120
+        code, _, err = run(capsys, "verify", "--law", "cauchy", "--n", "200", "--R", str(R),
+                           "--seed", "5", "--out", str(tmp_path))
+        assert code in (0, 2), err
+        reports = json.loads((tmp_path / "verify_reports.json").read_text())["reports"]
+        assert [r["degenerate"] for r in reports] == [0] * 5
+        gates = {"Thm11-backward": 0.05, "Thm11-forward": 0.05, "Pakes114": 0.05,
+                 "ForwardBackwardEquality": two_sample_threshold(R, R),
+                 "FunctionalSup": two_sample_threshold(R, R)}
+        assert {r["tag"]: r["threshold"] for r in reports} == gates
+        assert all(r["pass"] is (r["D"] <= r["threshold"]) for r in reports)
+        lines = (tmp_path / "verify_summary.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(lines))
+        assert [(w["tag"], float(w["threshold"])) for w in rows] == list(gates.items())
+        assert all(w["pass"] == str(float(w["D"]) <= float(w["threshold"])) for w in rows)
 
     def test_statistical_failure_exit(self, capsys, tmp_path):
         code, _, err = run(
@@ -456,6 +485,16 @@ class TestTheorem21Command:
     def test_unknown_instance(self, capsys):
         assert run(capsys, "theorem21", "--instance", "nope")[0] == 1
 
+    def test_record_starting_below_zero_is_refused(self, capsys, tmp_path):
+        # seed 3 draws its earliest atom at level f(tau) + y = -0.0486; F_n
+        # would tend to max(G, 0), and its decay table would stay flat
+        code, out, _ = run(capsys, "theorem21", "--instance", "prm", "--seed", "3",
+                           "--out", str(tmp_path))
+        assert code == 1 and "level-separation: FAIL" in out
+        cond = (tmp_path / "theorem21_conditions.csv").read_text()
+        assert "earliest record level -0.0486 < 0" in cond
+        assert not (tmp_path / "theorem21_decay.csv").exists()
+
     def test_conditions_are_checked_once(self, capsys, tmp_path, monkeypatch):
         calls = []
         original = functionals.check_conditions
@@ -508,10 +547,12 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"law": "cauchy", "n": 300, "R": 150, "seed": 3}))
         code, _, _ = run(
             capsys, "verify", "--config", str(cfg), "--theorem", "thm11-backward",
-            "--n", "200", "--threshold", "0.9", "--out", str(tmp_path),
+            "--n", "200", "--out", str(tmp_path),
         )
-        assert code == 0
+        # the subject is config precedence, not the verdict
+        assert code in (0, 2)
         doc = json.loads((tmp_path / "verify_reports.json").read_text())
+        assert all(r["D"] <= 0.9 for r in doc["reports"])
         assert doc["config"]["n"] == 200
         assert doc["config"]["R"] == 150 and doc["config"]["seed"] == 3
 

@@ -277,6 +277,14 @@ class TestCheckConditions:
         report = check_conditions(two_stage_instance(nu, signs=(1, 1)), 2.0, gamma=0.4)
         assert report.status_of("level-separation") == PASS
 
+    def test_record_starting_below_zero_fails(self):
+        # the earliest atom sits at level -0.5 + 0.3 = -0.2 under the drop
+        # path, so F_n tends to max(G, 0) rather than G
+        nu = PointMeasure(2.0, [0.5, 1.0, 1.2, 1.8], [0.3, 1.5, 2.0, 2.4])
+        report = check_conditions(two_stage_instance(nu, signs=(1, 1)), 2.0, gamma=0.4)
+        assert report.status_of("level-separation") == FAIL
+        assert ("level-separation", FAIL, "earliest record level -0.2 < 0") in report.rows()
+
     def test_count_growth_fail(self):
         base = bundled_instance("all-plus", ns=(10, 100))
         big = PointMeasure(

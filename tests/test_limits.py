@@ -12,6 +12,8 @@ from scipy.stats import ks_2samp, kstest
 from perpetuities.errors import ParameterError
 from perpetuities.laws import preset_law
 from perpetuities.limits import (
+    MAX_GRID_CELLS,
+    MAX_MEAN_COUNT,
     LimitKind,
     PrmSpec,
     drift_exceedance_intensity,
@@ -39,6 +41,12 @@ class TestPrmSpec:
             PrmSpec(c=-1.0, alpha=1.0, T=1.0, gamma=0.5)
         with pytest.raises(ParameterError):
             PrmSpec(c=1.0, alpha=1.0, T=np.inf, gamma=0.5)
+        # a draw of mean 10**9 atoms would not fit in memory; at 1e-300
+        # gamma**-alpha itself overflows a float
+        for gamma in (1e-9, 1e-300):
+            with pytest.raises(ParameterError, match="mean atom count"):
+                PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=gamma)
+        assert PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=1e-6).mean_count == MAX_MEAN_COUNT
 
     def test_mean_count(self):
         spec = PrmSpec(c=1.0, alpha=1.0, T=2.0, gamma=0.5)
@@ -138,6 +146,11 @@ class TestExtremalPath:
             extremal_path(TWO_ATOMS, "backward")
         with pytest.raises(ParameterError):
             extremal_path(TWO_ATOMS, LimitKind.FORWARD, grid_step=0.0)
+        # 3e12 grid cells over [0, 3]; refused before any array is built
+        with pytest.raises(ParameterError, match="cells"):
+            extremal_path(TWO_ATOMS, LimitKind.FORWARD, grid_step=1e-12)
+        with pytest.raises(ParameterError, match="cells"):
+            extremal_path(TWO_ATOMS, LimitKind.FORWARD, grid_step=3.0 / MAX_GRID_CELLS / 1.01)
 
     def test_meta_records_atoms(self):
         p = extremal_path(TWO_ATOMS, LimitKind.PEAK)
