@@ -150,8 +150,9 @@ def limit_marginal_values(
 ) -> np.ndarray:
     """Value of the ``kind`` limit path at time ``u`` across replications.
 
-    Replication ``r`` draws from the stream (spec.seed, rep_start + r),
-    so results are byte-identical for any ``jobs``.
+    Replication ``r`` draws from the stream (spec.seed, rep_start + r).
+    ``jobs`` is checked and otherwise unused: every replication runs on
+    the calling thread.
     """
     u = spec.T if u is None else float(u)
     if not (0.0 < u <= spec.T):

@@ -21,9 +21,9 @@ in the batch samplers.
 
 Replication r of a run with master seed s draws from the dedicated stream
 ``default_rng([s, r])``.  Every batch sampler is one per-replication
-function mapped by ``_run_jobs``, which returns one row per replication;
-the row depends on r alone, so a batch is independent of chunking and
-worker count.
+function mapped by ``_run_jobs``, which returns one row per replication
+on the calling thread; the row depends on r alone, so a batch does not
+depend on ``jobs``, which is checked and otherwise unused.
 
 ``batch_columns`` draws each replication once and reads every column
 off that draw.  Per chain a row holds the last log-magnitude, its
@@ -38,7 +38,6 @@ other than ``backward_marginal_values`` are lookups in that table.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,17 +158,13 @@ def simulate_forward_chain_path(s: SimScenario, rep: int = 0) -> StepPath:
 
 def _run_jobs(one, reps, jobs):
     """``np.array([one(r) for r in range(reps)])``, the only loop over
-    replications: ``jobs`` > 1 maps contiguous chunks of ceil(reps / jobs),
-    one per thread, and the rows come back in order."""
+    replications, on the calling thread.  ``jobs`` must be a whole
+    number and is otherwise unused: the numpy calls of one replication
+    are too short for a second thread to save wall time, and the
+    handoffs between threads cost CPU."""
     reps = whole_number("replication count", reps)
-    jobs = whole_number("jobs", jobs)
-    step = math.ceil(reps / jobs)
-    chunks = [range(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    if len(chunks) == 1:
-        return np.array([one(r) for r in chunks[0]])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(lambda chunk: [one(r) for r in chunk], chunks)
-        return np.array([row for part in parts for row in part])
+    whole_number("jobs", jobs)
+    return np.array([one(r) for r in range(reps)])
 
 
 # the four statistics of one chain, in row order (flags as counts)

@@ -22,6 +22,15 @@ import numpy as np
 CANCEL_RTOL = 1e-12
 _LOG_CANCEL = math.log(CANCEL_RTOL)
 _NEG_INF = float("-inf")
+# exp underflows to +0.0 below log(2**-1075) = -745.133; numpy's exp takes
+# a slow path to get there, so the kernels skip those arguments
+_EXP_UNDERFLOW = -745.2
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` bit for bit: +0.0 wherever x < _EXP_UNDERFLOW, and
+    exp is called on the other entries only (NaN included)."""
+    return np.exp(x, out=np.zeros(x.shape), where=~(x < _EXP_UNDERFLOW))
 
 
 def pool_logsumexp(mags: np.ndarray) -> float:
@@ -30,7 +39,7 @@ def pool_logsumexp(mags: np.ndarray) -> float:
     m = float(mags.max(initial=_NEG_INF))
     if m == _NEG_INF:
         return _NEG_INF
-    return m + math.log(float(np.exp(mags - m).sum()))
+    return m + math.log(float(_exp(mags - m).sum()))
 
 
 def signed_log_diff(pos: np.ndarray, neg: np.ndarray):
@@ -46,7 +55,7 @@ def signed_log_diff(pos: np.ndarray, neg: np.ndarray):
     # a tie takes log1p(-1), or -inf - -inf for two empty pools; np.where
     # discards those entries
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = big + np.log1p(-np.exp(np.minimum(pos, neg) - big))
+        res = big + np.log1p(-_exp(np.minimum(pos, neg) - big))
         near = (res - big) < _LOG_CANCEL
     # a tie (or a NaN pool) is a clean zero only when both pools are empty
     tie = sign == 0
@@ -60,9 +69,24 @@ def signed_log_cumsum(signs, mags):
     ``signs[k] * exp(mags[k])``: a prefix log-sum-exp per sign pool, then
     one ``signed_log_diff`` per prefix."""
     signs, mags = np.asarray(signs), np.asarray(mags, dtype=float)
-    pos = np.logaddexp.accumulate(np.where(signs > 0, mags, _NEG_INF))
-    neg = np.logaddexp.accumulate(np.where(signs < 0, mags, _NEG_INF))
-    return signed_log_diff(pos, neg)
+    return signed_log_diff(_pool_prefix(mags, signs > 0), _pool_prefix(mags, signs < 0))
+
+
+def _pool_prefix(mags, mask):
+    """Every prefix log-sum-exp of the pool ``mags[mask]``, -inf before
+    its first term: the pool is accumulated over its own terms and each
+    total is carried across the entries outside it.
+
+    Equal bit for bit to ``np.logaddexp.accumulate(np.where(mask, mags,
+    -inf))``: there logaddexp(a, -inf) is a + 0.0, so past index 0 a
+    -0.0 comes out as +0.0, and adding 0.0 does the same here.
+    """
+    acc = np.empty(np.count_nonzero(mask) + 1)
+    acc[0] = _NEG_INF
+    np.logaddexp.accumulate(mags[mask], out=acc[1:])
+    out = acc[np.cumsum(mask)]
+    out[1:] += 0.0
+    return out
 
 
 def sign_pools(signs, mags):

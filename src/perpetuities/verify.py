@@ -332,13 +332,13 @@ def verify_forward_backward_equality(
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
     forward = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
-    return _equality_report(law, n, u, R, seed, jobs, *forward)
+    return _equality_report(law, n, u, R, seed, *forward)
 
 
-def _equality_report(law, n, u, R, seed, jobs, fwd, fwd_flags):
+def _equality_report(law, n, u, R, seed, fwd, fwd_flags):
     """The report of ``verify_forward_backward_equality`` on its drawn
     forward side (streams 0..R-1); the backward side uses R..2R-1."""
-    bwd, bwd_flags = backward_marginal_values(law, n, u, R, seed, rep_start=R, jobs=jobs)
+    bwd, bwd_flags = backward_marginal_values(law, n, u, R, seed, rep_start=R)
     fwd_good, fwd_bad = _screen_degenerate("forward side", fwd, fwd_flags, R)
     bwd_good, bwd_bad = _screen_degenerate("backward side", bwd, bwd_flags, R)
     D = two_sample_ks(fwd_good, bwd_good)
@@ -383,17 +383,17 @@ def verify_functional_sup(
         sample = backward_sup_values(law, n, T, R, seed, jobs=jobs)
     else:
         sample = forward_sup_values(law, n, T, R, seed, jobs=jobs)
-    return _sup_report(tag, law, n, T, R, seed, jobs, *sample)
+    return _sup_report(tag, law, n, T, R, seed, *sample)
 
 
-def _sup_report(tag, law, n, T, R, seed, jobs, values, flags):
+def _sup_report(tag, law, n, T, R, seed, values, flags):
     """The report of ``verify_functional_sup`` on its drawn sample."""
     rule = TAG_RULES[tag]
     sim_good, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
     # the backward and peak paths never decrease; the forward path's sup is its largest mark
     kind = LimitKind.PEAK if rule.kind is LimitKind.FORWARD else rule.kind
     spec = rule.limit_spec(law, T, seed)
-    lim = limit_marginal_values(kind, spec, R, u=T, rep_start=R, jobs=jobs)
+    lim = limit_marginal_values(kind, spec, R, u=T, rep_start=R)
     D = two_sample_ks(sim_good, lim)
     return VerificationReport(
         tag="FunctionalSup",
@@ -436,7 +436,7 @@ def verify_suite(
         for t in marginals
     ]
     forward = columns["forward", "marginal"]
-    reports.append(_equality_report(law, n, u, R, seed, jobs, *forward))
+    reports.append(_equality_report(law, n, u, R, seed, *forward))
     rule = TAG_RULES.get(None if variant is None else canonical_tag(variant))
     if rule is None or rule.chain is None:
         return reports
@@ -444,7 +444,7 @@ def verify_suite(
         return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed, jobs)]
     rule.check_family(law)
     sample = columns[rule.chain, "sup"]
-    return reports + [_sup_report(rule.tag, law, n, T, R, seed, jobs, *sample)]
+    return reports + [_sup_report(rule.tag, law, n, T, R, seed, *sample)]
 
 
 def compatible_tags(law: CoefficientLaw):

@@ -1,5 +1,7 @@
 """Importing the package loads numpy and no scipy module; each function
 that needs scipy imports the submodule it calls, where it calls it.
+Nothing in the package starts threads, so no import loads
+``concurrent.futures`` either.
 
 Every check runs in a fresh interpreter: the other test modules import
 scipy, so in this process a mistyped import inside a function would go
@@ -45,6 +47,12 @@ def fresh(*lines):
 def test_import_loads_no_scipy():
     loaded = fresh("import json, sys", "import perpetuities, perpetuities.cli",
                    f"print(json.dumps({_LOADED_SCIPY}))")
+    assert loaded == []
+
+
+def test_import_loads_no_thread_pool():
+    loaded = fresh("import json, sys", "import perpetuities, perpetuities.cli",
+                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('concurrent'))))")
     assert loaded == []
 
 
