@@ -6,9 +6,10 @@ extremal limit processes from truncated Poisson constructions, applies
 the smoothed signed-sum and running-max path functionals, and verifies
 the distributional statements connecting the two sides.
 
-Importing the package loads numpy only. The few functions that call
-scipy import it in their body, so a command that never calls them never
-pays for loading it.
+Importing the package loads numpy only. Only the regime classifier's
+quadrature (``compute_A``, ``stability_integral_truncated``) calls scipy,
+and it imports scipy in its body, so every other command runs without
+loading it.
 """
 
 from importlib import metadata as _metadata

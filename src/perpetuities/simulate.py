@@ -86,15 +86,24 @@ def replication_rng(seed: int, rep: int):
     return np.random.default_rng([seed, rep])
 
 
-def _chain_terms(sign_m, log_m, sign_q, log_q, x0: float = 0.0, forward: bool = False):
+def _products(sign_m, log_m):
+    """(sign_pi, S): the sign of Pi_k = M_1...M_k and S_k = log|Pi_k|,
+    which both chains of one draw share."""
+    return np.cumprod(sign_m), np.cumsum(log_m)
+
+
+def _chain_terms(sign_m, log_m, sign_q, log_q, x0: float = 0.0, forward: bool = False,
+                 products=None):
     """(sign_pi, S, term_sign, term_mag) of one chain's coefficient arrays.
 
     Backward: Y_k is the prefix sum of the terms Pi_{i-1} Q_i.  Forward:
     X_k = Pi_k (x0 + sum_{i<=k} Q_i / Pi_i), the prefix sum of x0 and the
-    terms Q_i / Pi_i, times Pi_k.
+    terms Q_i / Pi_i, times Pi_k.  ``products`` is ``_products`` of the
+    same arrays, when the caller has it already.
     """
-    S = np.cumsum(log_m)
-    sign_pi = np.cumprod(sign_m)
+    if products is None:
+        products = _products(sign_m, log_m)
+    sign_pi, S = products
     if forward:
         term_sign = np.concatenate(([np.sign(x0)], sign_pi * sign_q))
         term_mag = np.concatenate(([math.log(abs(x0)) if x0 else -np.inf], log_q - S))
@@ -104,14 +113,14 @@ def _chain_terms(sign_m, log_m, sign_q, log_q, x0: float = 0.0, forward: bool = 
     return sign_pi, S, term_sign, term_mag
 
 
-def _chain_mags(coeffs, x0: float = 0.0, forward: bool = False):
+def _chain_mags(coeffs, x0: float = 0.0, forward: bool = False, products=None):
     """(sign, logmag, cancelled) of the iterates of one chain of drawn
     coefficients ``coeffs`` (the four arrays of ``draw_log_mq``).
 
     ``cancelled[k]`` marks a near-total loss of magnitude in the k-th
     combine of the positive and negative pools.
     """
-    sign_pi, S, term_sign, term_mag = _chain_terms(*coeffs, x0, forward)
+    sign_pi, S, term_sign, term_mag = _chain_terms(*coeffs, x0, forward, products)
     sign, mag, cancelled = signed_log_cumsum(term_sign, term_mag)
     if forward:
         # entry 0 is the pool of x0 alone
@@ -171,10 +180,10 @@ def _run_jobs(one, reps, jobs):
 _CHAIN_STATS = ("last", "sup", "end", "prefix")
 
 
-def _chain_stats(coeffs, forward):
+def _chain_stats(coeffs, products, forward):
     """The ``_CHAIN_STATS`` of one chain's iterates: the last
     log-magnitude, its maximum, the endpoint flag and the prefix flag."""
-    sign, mag, cancelled = _chain_mags(coeffs, forward=forward)
+    sign, mag, cancelled = _chain_mags(coeffs, forward=forward, products=products)
     any_zero = np.count_nonzero(sign) < sign.size
     end = int(cancelled[-1]) + int(sign[-1] == 0)
     return mag[-1], mag.max(), end, np.count_nonzero(cancelled) + int(any_zero)
@@ -203,7 +212,9 @@ def batch_columns(law, n, u, reps, seed, chains, pakes=False, jobs=1):
 
     def one(r):
         coeffs = draw_log_mq(law, replication_rng(seed, r), count)
-        row = sum((_chain_stats(coeffs, chain == "forward") for chain in chains), ())
+        # the Pakes sums alone need no products
+        products = _products(*coeffs[:2]) if chains else None
+        row = sum((_chain_stats(coeffs, products, chain == "forward") for chain in chains), ())
         return row + (pool_logsumexp(decay + coeffs[3]),) if pakes else row
 
     table = dict(zip(names, _run_jobs(one, reps, jobs).T))

@@ -1,7 +1,9 @@
 """Importing the package loads numpy and no scipy module; each function
-that needs scipy imports the submodule it calls, where it calls it.
-Nothing in the package starts threads, so no import loads
-``concurrent.futures`` either.
+that needs scipy imports the submodule it calls, where it calls it.  Only
+``classify``'s functions do: the KS thresholds and the atom matching run
+on numpy and the standard library, so ``simulate``, ``limits``,
+``verify`` and ``theorem21`` load no scipy module at all.  Nothing in the
+package starts threads, so no import loads ``concurrent.futures`` either.
 
 Every check runs in a fresh interpreter: the other test modules import
 scipy, so in this process a mistyped import inside a function would go
@@ -21,18 +23,28 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = {"laws": laws, "paths": paths, "verify": verify}
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
-# each call that imports scipy inside its body, with the submodule it loads
+# public calls, each with the scipy submodule it imports in its body, or
+# None for a call that loads no scipy module
 CALLS = [
     ("compute_A", "laws.compute_A(laws.preset_law('cauchy'), 2.5)", "scipy.special"),
     ("stability_integral_truncated",
      "laws.stability_integral_truncated(laws.preset_law('cauchy'), 50.0)", "scipy.integrate"),
     ("point_match_distance",
      "paths.point_match_distance(paths.PointMeasure(1.0, [0.1, 0.5, 0.9], [2.0, 1.0, 3.0]),"
-     " paths.PointMeasure(1.0, [0.2, 0.45, 0.8], [2.5, 1.2, 2.0]), 0.5)", "scipy.sparse"),
-    ("ks_threshold", "verify.ks_threshold(512)", "scipy.special"),
-    ("two_sample_threshold", "verify.two_sample_threshold(512, 300)", "scipy.special"),
+     " paths.PointMeasure(1.0, [0.2, 0.45, 0.8], [2.5, 1.2, 2.0]), 0.5)", None),
+    ("ks_threshold", "verify.ks_threshold(512)", None),
+    ("two_sample_threshold", "verify.two_sample_threshold(512, 300)", None),
 ]
 
+# small runs of every command but classify; a verify run may end with
+# exit code 2, a failed gate, after every check has run
+COMMANDS = {
+    "verify-suite": "verify --law cauchy --n 200 --R 200",
+    "verify-functionalsup": "verify --theorem functionalsup --law cauchy --n 200 --R 100",
+    "theorem21": "theorem21 --instance mixed-sign",
+    "simulate": "simulate --chain forward --law cauchy --n 200 --T 1 --R 2",
+    "limits-path": "limits path --kind forward --c 1 --alpha 1 --T 1 --gamma 0.1 --R 2",
+}
 
 def fresh(*lines):
     """The JSON value printed by ``lines`` run in a new interpreter."""
@@ -63,4 +75,18 @@ def test_deferred_import_returns_the_same_float(expr, submodule):
         f"print(json.dumps([float({expr}), {_LOADED_SCIPY}]))")
     # JSON round-trips a finite float exactly
     assert value == float(eval(expr, dict(MODULES)))
-    assert submodule in loaded
+    if submodule is None:
+        assert loaded == []
+    else:
+        assert submodule in loaded
+
+
+@pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_command_loads_no_scipy(argv, tmp_path):
+    code, loaded = fresh(
+        "import contextlib, io, json, sys", "from perpetuities import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = cli.main({argv.split() + ['--out', str(tmp_path)]!r})",
+        f"print(json.dumps([code, {_LOADED_SCIPY}]))")
+    assert code in (0, 2)
+    assert loaded == []
