@@ -11,6 +11,7 @@ unexpected exception, 2 for a failing or degenerate verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -233,10 +234,35 @@ def _resolved(args, law=None) -> dict:
     return {k: v for k, v in sorted(d.items()) if v is not None}
 
 
+@contextlib.contextmanager
 def _out_file(args, name: str):
+    """The text file ``name`` in ``--out`` (default: the working
+    directory), open for writing.
+
+    The bytes go to a sibling temporary file, which replaces ``name``
+    only when the block finishes.  A block that raises deletes it and
+    removes the directories this call made, if they are left empty, so
+    a failed run leaves no file and an existing ``name`` keeps its bytes.
+    """
     out = "." if args.out is None else args.out
+    made, head = [], os.path.abspath(out)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
-    return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
+    path = os.path.join(out, name)
+    tmp = os.path.join(out, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        with contextlib.suppress(OSError):
+            for directory in made:  # deepest first; stops at one left non-empty
+                os.rmdir(directory)
+        raise
 
 
 def _config_line(args, law=None) -> str:
@@ -249,7 +275,8 @@ def _cmd_simulate(args) -> int:
     simulate = (
         simulate_perpetuity_path if args.chain == "backward" else simulate_forward_chain_path
     )
-    paths = [simulate(scenario, rep=r) for r in range(args.R)]
+    # drawn one at a time inside the writer, so one path is held at once
+    paths = (simulate(scenario, rep=r) for r in range(args.R))
     with _out_file(args, "simulate_paths.csv") as fh:
         fh.write(_config_line(args, law))
         write_paths_csv(paths, fh)
@@ -292,15 +319,16 @@ def _cmd_limits(args) -> int:
 
     kind = LimitKind(args.kind)
     step = args.grid_step if kind is LimitKind.FORWARD else None
-    paths = []
-    for r in range(args.R):
-        pm = sample_prm(spec, rep=r)
-        p = extremal_path(pm, kind, grid_step=step)
-        p.meta["rep"] = r
-        paths.append(p)
+
+    def paths():
+        for r in range(args.R):
+            p = extremal_path(sample_prm(spec, rep=r), kind, grid_step=step)
+            p.meta["rep"] = r
+            yield p
+
     with _out_file(args, "limits_paths.csv") as fh:
         fh.write(_config_line(args))
-        write_paths_csv(paths, fh)
+        write_paths_csv(paths(), fh)
     print(f"wrote {args.R} {args.kind} limit paths")
     return 0
 

@@ -322,9 +322,8 @@ _TIME_SHIFTS = np.array([0.5, -0.4, 0.3, -0.5, 0.45, -0.3, 0.35, -0.45])
 _MARK_SHIFTS = np.array([0.4, -0.35, 0.5, -0.25, 0.3, -0.5, 0.25, -0.4])
 _HORIZON = 2.0
 
-DEFAULT_STAGES = tuple(
-    int(n) for n in np.unique(np.rint(np.geomspace(100, 10_000, 13)).astype(int))
-)
+# sorted in Python: np.unique would load numpy.ma in every process
+DEFAULT_STAGES = tuple(sorted({int(n) for n in np.rint(np.geomspace(100, 10_000, 13))}))
 
 
 def _linear_drop_path(horizon, slope, extra_times=()) -> StepPath:

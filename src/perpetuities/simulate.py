@@ -281,13 +281,22 @@ def _csv_rows(rep, left, right) -> str:
     return "".join(rows)
 
 
+# rows per write of ``write_paths_csv``: bounds one path's row strings
+_BLOCK_ROWS = 2048
+
+
 def write_paths_csv(paths, fp):
-    """Consolidated (rep, t, value) rows for a batch of step paths, one
-    write per path.
+    """Consolidated (rep, t, value) rows for an iterable of step paths.
+
+    The iterable is read one path at a time, and each path is written in
+    blocks of ``_BLOCK_ROWS`` rows, so a generator's paths are drawn,
+    written and dropped in turn and no whole path becomes one string.
 
     Each distinct time is formatted once: a time that the previous path
     also holds reuses that path's string, so a grid shared across
-    replications is formatted for the first path only.
+    replications is formatted for the first path only.  Each run of
+    equal values (equal bits, so -0.0 and 0.0 stay apart) is formatted
+    once too, so each flat stretch of a backward path costs one repr.
     """
     fp.write("rep,t,value\n")
     prev_t, prev_s = np.empty(0), np.empty(0, dtype=object)
@@ -299,5 +308,17 @@ def write_paths_csv(paths, fp):
         s = np.empty(t.size, dtype=object)
         s[seen] = prev_s[pos[seen]]
         s[~seen] = np.array(_reprs(t[~seen]), dtype=object)
-        fp.write(_csv_rows(p.meta.get("rep", i), s.tolist(), _reprs(p.values)))
+        v = p.values
+        bits = v.view(np.int64)
+        new = np.concatenate(([True], bits[1:] != bits[:-1]))
+        if new.all():
+            words = None
+        else:
+            words = np.array(_reprs(v[new]), dtype=object)
+            run = np.cumsum(new) - 1
+        rep = p.meta.get("rep", i)
+        for lo in range(0, t.size, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            right = _reprs(v[block]) if words is None else words[run[block]].tolist()
+            fp.write(_csv_rows(rep, s[block].tolist(), right))
         prev_t, prev_s = t, s

@@ -11,6 +11,7 @@ import perpetuities.cli as cli
 import perpetuities.functionals as functionals
 import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
+from perpetuities.errors import ParameterError, StatisticalError
 from perpetuities.laws import classify_regime, draw_log_mq, preset_law
 from perpetuities.limits import PrmSpec, sample_prm
 from perpetuities.verify import (
@@ -253,6 +254,73 @@ class TestSimulateCommand:
         assert (a / "simulate_paths.csv").read_bytes() == (
             b / "simulate_paths.csv"
         ).read_bytes()
+
+
+class TestStreamedPathRuns:
+    # each path (and each atom sample of limits prm) is drawn as it is
+    # written, so a run that fails has written part of its file; --out
+    # must still be left as it was
+    CASES = {
+        "simulate": ("simulate_perpetuity_path", 3, StatisticalError("an iterate is zero"),
+                     ("simulate", "--n", "20", "--R", "6"), "simulate_paths.csv", 2),
+        "limits-path": ("extremal_path", 2, ParameterError("grid step too small"),
+                        ("limits", "path", "--kind", "forward", "--gamma", "0.1", "--R", "5"),
+                        "limits_paths.csv", 1),
+        "limits-prm": ("sample_prm", 2, StatisticalError("too many atoms"),
+                       ("limits", "prm", "--gamma", "0.1", "--R", "5"), "limits_prm.csv", 2),
+    }
+    PATH_CASES = ["simulate", "limits-path"]
+
+    @pytest.mark.parametrize("name, argv", [(c[0], c[3]) for c in map(CASES.get, PATH_CASES)],
+                             ids=PATH_CASES)
+    def test_each_path_is_drawn_when_written(self, capsys, tmp_path, monkeypatch, name, argv):
+        original, write, calls, drawn = getattr(cli, name), cli.write_paths_csv, [], []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        def writing(paths, fp):
+            def counted():
+                for p in paths:
+                    drawn.append(len(calls))  # draws made when path k is handed over
+                    yield p
+            write(counted(), fp)
+
+        monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setattr(cli, "write_paths_csv", writing)
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        assert drawn == list(range(1, int(argv[-1]) + 1))
+
+    @pytest.fixture(params=list(CASES))
+    def case(self, request, monkeypatch):
+        name, rep, error, argv, file, code = self.CASES[request.param]
+        original, calls = getattr(cli, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > rep:  # the call that draws replication rep
+                raise error
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, failing)
+        yield argv, file, code
+        assert len(calls) == rep + 1
+
+    def test_new_out_is_not_created(self, capsys, tmp_path, case):
+        argv, _, expected = case
+        code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "new" / "out"))
+        assert code == expected and out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_existing_file_keeps_its_bytes(self, capsys, tmp_path, case):
+        argv, file, expected = case
+        (tmp_path / file).write_bytes(b"rep,t,value\n0,0.0,1.5\n")
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == expected
+        assert [p.name for p in tmp_path.iterdir()] == [file]
+        assert (tmp_path / file).read_bytes() == b"rep,t,value\n0,0.0,1.5\n"
 
 
 class TestVerifyCommand:

@@ -3,7 +3,8 @@ that needs scipy imports the submodule it calls, where it calls it.  Only
 ``classify``'s functions do: the KS thresholds and the atom matching run
 on numpy and the standard library, so ``simulate``, ``limits``,
 ``verify`` and ``theorem21`` load no scipy module at all.  Nothing in the
-package starts threads, so no import loads ``concurrent.futures`` either.
+package starts threads, so no import loads ``concurrent.futures`` either,
+and no import-time table calls ``np.unique``, which loads ``numpy.ma``.
 
 Every check runs in a fresh interpreter: the other test modules import
 scipy, so in this process a mistyped import inside a function would go
@@ -22,6 +23,7 @@ from perpetuities import laws, paths, verify
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = {"laws": laws, "paths": paths, "verify": verify}
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+_LOADED_MA = "sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))"
 
 # public calls, each with the scipy submodule it imports in its body, or
 # None for a call that loads no scipy module
@@ -56,9 +58,32 @@ def fresh(*lines):
     return json.loads(done.stdout)
 
 
+def fresh_command(argv, out, loaded):
+    """(exit code, the ``loaded`` expression's value) of ``cli.main`` on
+    ``argv`` in a new interpreter, writing into ``out``."""
+    return fresh(
+        "import contextlib, io, json, sys", "from perpetuities import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = cli.main({argv.split() + ['--out', str(out)]!r})",
+        f"print(json.dumps([code, {loaded}]))")
+
+
 def test_import_loads_no_scipy():
     loaded = fresh("import json, sys", "import perpetuities, perpetuities.cli",
                    f"print(json.dumps({_LOADED_SCIPY}))")
+    assert loaded == []
+
+
+def test_import_loads_no_masked_arrays():
+    loaded = fresh("import json, sys", "import perpetuities, perpetuities.cli",
+                   f"print(json.dumps({_LOADED_MA}))")
+    assert loaded == []
+
+
+def test_slow_variation_check_loads_no_masked_arrays(tmp_path):
+    code, loaded = fresh_command(
+        "verify --theorem thm15-backward --law regvar1 --n 200 --R 100", tmp_path, _LOADED_MA)
+    assert code in (0, 2)
     assert loaded == []
 
 
@@ -83,10 +108,6 @@ def test_deferred_import_returns_the_same_float(expr, submodule):
 
 @pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
 def test_command_loads_no_scipy(argv, tmp_path):
-    code, loaded = fresh(
-        "import contextlib, io, json, sys", "from perpetuities import cli",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    code = cli.main({argv.split() + ['--out', str(tmp_path)]!r})",
-        f"print(json.dumps([code, {_LOADED_SCIPY}]))")
+    code, loaded = fresh_command(argv, tmp_path, _LOADED_SCIPY)
     assert code in (0, 2)
     assert loaded == []

@@ -535,6 +535,49 @@ class TestCsvOutput:
         write_paths_csv_oracle(paths, ref)
         assert out.getvalue() == ref.getvalue()
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None], ids=["block-1", "block", "block+1",
+                                                              "2block+1"])
+    def test_row_blocks_match_per_row_writer(self, offset):
+        block = simulate_module._BLOCK_ROWS
+        rows = 2 * block + 1 if offset is None else block + offset
+        rng = np.random.default_rng(rows)
+        # runs of 7 equal values, which cross the edge at 2 * block
+        runs = np.repeat(rng.standard_normal(rows // 7 + 1), 7)[:rows]
+        # -0.0 and 0.0 side by side; past one block, a run of 0.0 crosses
+        # the first edge too
+        runs[1:3] = [0.0, -0.0]
+        if rows > block:
+            runs[block - 2:block + 1] = [-0.0, 0.0, 0.0]
+        times = np.arange(1, rows) / rows
+        paths = [
+            StepPath(1.0, times, runs, meta={"rep": 0}),
+            StepPath(1.0, times, rng.standard_normal(rows), meta={"rep": 1}),
+            StepPath(1.0, times[::2], np.full(times[::2].size + 1, -0.0)),
+        ]
+        out, ref = io.StringIO(), io.StringIO()
+        write_paths_csv(paths, out)
+        write_paths_csv_oracle(paths, ref)
+        assert out.getvalue() == ref.getvalue()
+
+    def test_reads_paths_lazily(self):
+        # path k's last row is written before path k + 1 is asked for
+        block = simulate_module._BLOCK_ROWS
+        paths = [StepPath(1.0, np.arange(1, m) / m, np.arange(m) % 3, meta={"rep": k})
+                 for k, m in enumerate((3, 2 * block + 5, 4))]
+        buf = io.StringIO()
+
+        def lazily():
+            for k, p in enumerate(paths):
+                for done in paths[:k][-1:]:
+                    assert buf.getvalue().endswith(
+                        f"{k - 1},{float(done.times[-1])!r},{float(done.values[-1])!r}\n")
+                yield p
+
+        write_paths_csv(lazily(), buf)
+        ref = io.StringIO()
+        write_paths_csv_oracle(paths, ref)
+        assert buf.getvalue() == ref.getvalue()
+
     def test_consolidated_rows(self):
         paths = [
             simulate_perpetuity_path(SimScenario(UNIT, n=2, T=1.0, seed=1), rep=r)
