@@ -335,14 +335,13 @@ def _cmd_limits(args) -> int:
 
 def _run_verification(args, law, tag):
     """The reports of one check, or of the full suite when ``tag`` is None."""
-    common = dict(seed=args.seed, jobs=args.jobs)
     if tag is None:
-        return verify_suite(law, args.n, args.u, args.T, args.R, variant=args.variant, **common)
+        return verify_suite(law, args.n, args.u, args.T, args.R, args.seed, args.variant)
     if tag == "ForwardBackwardEquality":
-        return [verify_forward_backward_equality(law, args.n, args.u, args.R, **common)]
+        return [verify_forward_backward_equality(law, args.n, args.u, args.R, args.seed)]
     if tag == "FunctionalSup":
-        return [verify_functional_sup(args.variant, law, args.n, args.T, args.R, **common)]
-    return [verify_marginal(tag, law, args.n, args.u, args.R, **common)]
+        return [verify_functional_sup(args.variant, law, args.n, args.T, args.R, args.seed)]
+    return [verify_marginal(tag, law, args.n, args.u, args.R, args.seed)]
 
 
 def _cmd_verify(args) -> int:

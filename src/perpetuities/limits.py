@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, whole_number
 from .paths import PointMeasure, StepPath, _collapse_running
-from .simulate import _run_jobs, replication_rng
+from .simulate import _map_replications, replication_rng
 
 DEFAULT_GRID_CELLS = 10_000
 # largest forward-path grid accepted; keeps each path's arrays within a
@@ -146,13 +146,10 @@ def limit_marginal_values(
     reps: int,
     u: float | None = None,
     rep_start: int = 0,
-    jobs: int = 1,
 ) -> np.ndarray:
     """Value of the ``kind`` limit path at time ``u`` across replications.
 
     Replication ``r`` draws from the stream (spec.seed, rep_start + r).
-    ``jobs`` is checked and otherwise unused: every replication runs on
-    the calling thread.
     """
     u = spec.T if u is None else float(u)
     if not (0.0 < u <= spec.T):
@@ -165,7 +162,7 @@ def limit_marginal_values(
         sup = float(np.max(scores)) if scores.size else 0.0
         return sup - u if kind is LimitKind.FORWARD else sup
 
-    return _run_jobs(one, reps, jobs)
+    return _map_replications(one, reps)
 
 
 def drift_marginal_cdf(x, u: float, c: float, a: float):

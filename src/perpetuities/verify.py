@@ -321,7 +321,6 @@ def verify_marginal(
     u: float,
     R: int,
     seed: int,
-    jobs: int = 1,
 ) -> VerificationReport:
     """One-sample KS check of a scaled time-u marginal against its limit law.
 
@@ -342,11 +341,11 @@ def verify_marginal(
             f"parameter, so u must be 1, got {u}"
         )
     if rule.chain == "backward":
-        sample = backward_marginal_values(law, n, u, R, seed, jobs=jobs)
+        sample = backward_marginal_values(law, n, u, R, seed)
     elif rule.chain == "forward":
-        sample = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
+        sample = forward_marginal_values(law, n, u, R, seed)
     else:
-        sample = pakes_values(law, n, R, seed, jobs=jobs)
+        sample = pakes_values(law, n, R, seed)
     return _marginal_report(tag, law, n, u, R, seed, *sample)
 
 
@@ -374,7 +373,6 @@ def verify_forward_backward_equality(
     u: float,
     R: int,
     seed: int,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Two-sample KS check that both chains share one fixed-n marginal.
 
@@ -385,7 +383,7 @@ def verify_forward_backward_equality(
     sample sizes.
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
-    forward = forward_marginal_values(law, n, u, R, seed, jobs=jobs)
+    forward = forward_marginal_values(law, n, u, R, seed)
     return _equality_report(law, n, u, R, seed, *forward)
 
 
@@ -416,7 +414,6 @@ def verify_functional_sup(
     T: float,
     R: int,
     seed: int,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Two-sample KS check of path suprema over [0, T].
 
@@ -427,17 +424,21 @@ def verify_functional_sup(
     forward kind. The check passes when D is at most the 1% two-sample
     critical value of the kept sample sizes.
     """
+    rule = _sup_rule(tag, law)
+    n, R = whole_number("n", n), whole_number("R", R, low=100)
+    sampler = backward_sup_values if rule.chain == "backward" else forward_sup_values
+    return _sup_report(rule.tag, law, n, T, R, seed, *sampler(law, n, T, R, seed))
+
+
+def _sup_rule(tag, law):
+    """The rule of ``tag`` as a ``FunctionalSup`` variant: a chain tag
+    whose limit covers the law's family, or a ConfigurationError."""
     tag = canonical_tag(tag)
     rule = TAG_RULES.get(tag)
     if rule is None or rule.chain is None:
         raise ConfigurationError(f"{tag} has no path-functional form")
     rule.check_family(law)
-    n, R = whole_number("n", n), whole_number("R", R, low=100)
-    if rule.chain == "backward":
-        sample = backward_sup_values(law, n, T, R, seed, jobs=jobs)
-    else:
-        sample = forward_sup_values(law, n, T, R, seed, jobs=jobs)
-    return _sup_report(tag, law, n, T, R, seed, *sample)
+    return rule
 
 
 def _sup_report(tag, law, n, T, R, seed, values, flags):
@@ -470,11 +471,12 @@ def verify_suite(
     R: int,
     seed: int,
     variant=None,
-    jobs: int = 1,
 ) -> list:
     """The full suite for the law's family: each compatible marginal tag (a
     chainless sum only at u = 1), ``ForwardBackwardEquality``, and
-    ``FunctionalSup`` over [0, T] when ``variant`` names a chain tag.
+    ``FunctionalSup`` over [0, T] when a ``variant`` is given.  A variant
+    that is not a chain tag of the law's family raises ConfigurationError
+    before anything is drawn.
 
     Replications 0..R-1 are drawn once, at [nu]+1 iterates, and each check
     reads its sample off that draw (``batch_columns``).  The equality
@@ -482,23 +484,20 @@ def verify_suite(
     own batches, as when their checks run alone.
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
+    rule = None if variant is None else _sup_rule(variant, law)
     marginals = [t for t in compatible_tags(law) if TAG_RULES[t].chain or u == 1.0]
     pakes = any(TAG_RULES[t].chain is None for t in marginals)
-    columns = batch_columns(law, n, u, R, seed, ("backward", "forward"), pakes, jobs)
+    columns = batch_columns(law, n, u, R, seed, ("backward", "forward"), pakes)
     reports = [
         _marginal_report(t, law, n, u, R, seed, *columns[TAG_RULES[t].chain, "marginal"])
         for t in marginals
     ]
-    forward = columns["forward", "marginal"]
-    reports.append(_equality_report(law, n, u, R, seed, *forward))
-    rule = TAG_RULES.get(None if variant is None else canonical_tag(variant))
-    if rule is None or rule.chain is None:
+    reports.append(_equality_report(law, n, u, R, seed, *columns["forward", "marginal"]))
+    if rule is None:
         return reports
     if T != u:
-        return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed, jobs)]
-    rule.check_family(law)
-    sample = columns[rule.chain, "sup"]
-    return reports + [_sup_report(rule.tag, law, n, T, R, seed, *sample)]
+        return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed)]
+    return reports + [_sup_report(rule.tag, law, n, T, R, seed, *columns[rule.chain, "sup"])]
 
 
 def compatible_tags(law: CoefficientLaw):

@@ -390,6 +390,25 @@ class TestVerifyCommand:
         (rep,) = json.loads((tmp_path / "verify_reports.json").read_text())["reports"]
         assert rep["D"] <= 0.3
 
+    # a variant with no path-functional form, or of another family, at T = u
+    # (the shared draw) and at T != u (a draw of its own)
+    @pytest.mark.parametrize("flags, message", [
+        (("--variant", "pakes114"), "Pakes114 has no path-functional form"),
+        (("--variant", "pakes114", "--T", "2"), "Pakes114 has no path-functional form"),
+        (("--variant", "forwardbackwardequality"), "has no path-functional form"),
+        (("--variant", "thm15-backward"), "applies to families"),
+    ], ids=["pakes114", "pakes114-T2", "equality", "other-family"])
+    def test_suite_refuses_a_variant_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                    flags, message):
+        draws = []
+        monkeypatch.setattr(simulate_module, "draw_log_mq", lambda *a: draws.append(a))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "verify", "--law", "cauchy", "--n", "200",
+                                "--R", "100", *flags, "--out", str(out))
+        assert (code, stdout, draws) == (1, "", [])
+        assert message in err
+        assert not out.exists()
+
     def test_each_gate_is_its_checks_rule(self, capsys, tmp_path):
         # marginals are judged by the absolute bound 0.05, the two-sample
         # checks by the 1% critical value of their kept sample sizes
@@ -474,7 +493,7 @@ class TestVerifySuiteSharing:
             run(capsys, *self.ARGV, *flags, "--out", str(out))
             doc = json.loads((out / "verify_reports.json").read_text())
             law, variant = preset_law(name), doc["config"]["variant"]
-            common = dict(seed=5, jobs=1)
+            common = dict(seed=5)
             alone = [verify_marginal(tag, law, 200, u, 100, **common) for tag in marginals] + [
                 verify_forward_backward_equality(law, 200, u, 100, **common),
                 verify_functional_sup(variant, law, 200, T, 100, **common),

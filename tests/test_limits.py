@@ -24,7 +24,7 @@ from perpetuities.limits import (
     sample_prm,
 )
 from perpetuities.paths import PointMeasure
-from perpetuities.verify import TAG_RULES, ks_statistic, ks_threshold, verify_functional_sup
+from perpetuities.verify import TAG_RULES, ks_statistic, ks_threshold
 
 TWO_ATOMS = PointMeasure(3.0, [1.0, 2.0], [3.0, 1.0])
 
@@ -183,24 +183,6 @@ class TestMarginalSampler:
             limit_marginal_values(LimitKind.PEAK, spec, 0)
         with pytest.raises(ParameterError):
             limit_marginal_values(LimitKind.PEAK, spec, -1)
-
-    # values below 1 start no thread
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_rejects_bad_jobs(self, jobs):
-        spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.5)
-        with pytest.raises(ParameterError, match="jobs must be a positive integer"):
-            limit_marginal_values(LimitKind.PEAK, spec, 5, jobs=jobs)
-
-    def test_jobs_do_not_change_results(self):
-        spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.1, seed=35)
-        v1 = limit_marginal_values(LimitKind.BACKWARD, spec, 33, jobs=1)
-        v3 = limit_marginal_values(LimitKind.BACKWARD, spec, 33, jobs=3)
-        np.testing.assert_array_equal(v1, v3)
-        # the forward sup check draws its limit side on the same thread split
-        law = preset_law("cauchy")
-        r1 = verify_functional_sup("thm11-forward", law, 50, 1.0, 100, seed=35, jobs=1)
-        r3 = verify_functional_sup("thm11-forward", law, 50, 1.0, 100, seed=35, jobs=3)
-        assert r1 == r3
 
     def test_rep_start_shifts_streams(self):
         spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.1, seed=35)

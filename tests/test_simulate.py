@@ -32,19 +32,18 @@ from perpetuities.slog import sign_pools, signed_log_cumsum, signed_log_diff
 HALF = CoefficientLaw("Degenerate", m0=0.5, q0=1.0)
 UNIT = CoefficientLaw("Degenerate", m0=1.0, q0=1.0)
 
-# each batch sampler at u = T = 1 and seed 0, as a function of n, the
-# replication count and the thread count
+# each batch sampler at u = T = 1 and seed 0, as a function of n and the
+# replication count
 BATCH_SAMPLERS = {
-    "backward_marginal_values":
-        lambda n, reps, jobs=1: backward_marginal_values(HALF, n, 1.0, reps, 0, jobs=jobs),
-    "backward_sup_values":
-        lambda n, reps, jobs=1: backward_sup_values(HALF, n, 1.0, reps, 0, jobs=jobs),
-    "forward_marginal_values":
-        lambda n, reps, jobs=1: forward_marginal_values(HALF, n, 1.0, reps, 0, jobs=jobs),
-    "forward_sup_values":
-        lambda n, reps, jobs=1: forward_sup_values(HALF, n, 1.0, reps, 0, jobs=jobs),
-    "pakes_values": lambda n, reps, jobs=1: pakes_values(HALF, n, reps, 0, jobs=jobs),
+    "backward_marginal_values": lambda n, reps: backward_marginal_values(HALF, n, 1.0, reps, 0),
+    "backward_sup_values": lambda n, reps: backward_sup_values(HALF, n, 1.0, reps, 0),
+    "forward_marginal_values": lambda n, reps: forward_marginal_values(HALF, n, 1.0, reps, 0),
+    "forward_sup_values": lambda n, reps: forward_sup_values(HALF, n, 1.0, reps, 0),
+    "pakes_values": lambda n, reps: pakes_values(HALF, n, reps, 0),
 }
+# the two samplers that still take the unread ``jobs`` of the benchmark's
+# crossover probe
+JOBS_SAMPLERS = {f.__name__: f for f in (backward_marginal_values, forward_marginal_values)}
 # an n that no sampler takes
 BAD_N = [(name, n) for name in BATCH_SAMPLERS for n in (-1, 0, 2.5)]
 
@@ -273,10 +272,6 @@ class TestBatchSamplers:
         w4, g4 = forward_marginal_values(law, 30, 1.0, 37, seed=53, jobs=4)
         np.testing.assert_array_equal(w1, w4)
         np.testing.assert_array_equal(g1, g4)
-        z1, h1 = forward_sup_values(law, 30, 1.0, 37, seed=53, jobs=1)
-        z3, h3 = forward_sup_values(law, 30, 1.0, 37, seed=53, jobs=3)
-        np.testing.assert_array_equal(z1, z3)
-        np.testing.assert_array_equal(h1, h3)
 
     def test_rep_start_shifts_streams(self):
         law = preset_law("cauchy")
@@ -308,12 +303,11 @@ class TestBatchSamplers:
         with pytest.raises(ParameterError, match="n must be a"):
             BATCH_SAMPLERS[name](n, 3)
 
-    # values below 1 start no thread
     @pytest.mark.parametrize("jobs", [0, -1])
-    @pytest.mark.parametrize("name", BATCH_SAMPLERS)
+    @pytest.mark.parametrize("name", JOBS_SAMPLERS)
     def test_rejects_bad_jobs(self, name, jobs):
         with pytest.raises(ParameterError, match="jobs must be a positive integer"):
-            BATCH_SAMPLERS[name](10, 3, jobs)
+            JOBS_SAMPLERS[name](HALF, 10, 1.0, 3, 0, jobs=jobs)
 
     def test_no_degenerate_samples_for_continuous_law(self):
         # condition: continuous Q laws never hit flagged cancellation
@@ -334,9 +328,8 @@ class TestSharedBatches:
     @pytest.mark.parametrize("pakes", [False, True])
     @settings(max_examples=25, deadline=None)
     @given(law=st.sampled_from(LAWS), n=st.integers(1, 60),
-           u=st.floats(0.05, 2.0), reps=st.integers(1, 6), seed=st.integers(0, 2**32),
-           jobs=st.integers(1, 3))
-    def test_each_column_equals_its_sampler(self, pakes, law, n, u, reps, seed, jobs):
+           u=st.floats(0.05, 2.0), reps=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_each_column_equals_its_sampler(self, pakes, law, n, u, reps, seed):
         # counts the coefficient draws, one per replication and batch
         draws = []
 
@@ -346,7 +339,7 @@ class TestSharedBatches:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate_module, "draw_log_mq", counted)
-            columns = batch_columns(law, n, u, reps, seed, ("backward", "forward"), pakes, jobs)
+            columns = batch_columns(law, n, u, reps, seed, ("backward", "forward"), pakes)
         assert len(draws) == reps
         count = math.floor(n * u) + 1
         samplers = {
@@ -441,17 +434,16 @@ class TestBackwardEndpoints:
             assert np.all(columns[chain, "sup"][0] >= columns[chain, "marginal"][0])
 
 
-class TestRunJobs:
-    """The replication map equals the serial loop for every thread split."""
+class TestMapReplications:
+    """The replication map is the serial loop over 0..reps-1."""
 
-    # reps < jobs included; jobs stays small
     @settings(max_examples=60, deadline=None)
-    @given(reps=st.integers(1, 40), jobs=st.integers(1, 8), tuple_rows=st.booleans())
-    def test_equals_the_serial_map(self, reps, jobs, tuple_rows):
+    @given(reps=st.integers(1, 40), tuple_rows=st.booleans())
+    def test_equals_the_serial_map(self, reps, tuple_rows):
         def one(r):
             return (r, math.sqrt(r), -r) if tuple_rows else r + 0.25
         want = np.array([one(r) for r in range(reps)])
-        got = simulate_module._run_jobs(one, reps, jobs)
+        got = simulate_module._map_replications(one, reps)
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 

@@ -1,15 +1,22 @@
-"""No function of the package starts threads.
+"""No function of the package starts threads or takes a job count.
 
 Static check with the standard library's ``ast``.  Every batch sampler is
-a per-replication function mapped by ``simulate._run_jobs`` on the
-calling thread: the numpy calls of one replication are too short for a
-second thread to save wall time, and handing the interpreter lock back
+a per-replication function mapped by ``simulate._map_replications`` on
+the calling thread: the numpy calls of one replication are too short for
+a second thread to save wall time, and handing the interpreter lock back
 and forth costs CPU.  A function that reads ``ThreadPoolExecutor`` would
-bring that split back.
+bring that split back, and a ``jobs`` parameter would be a knob that
+changes nothing.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import perpetuities
+
+# the benchmark's thread-split crossover probe still passes jobs= to these
+PROBE_SAMPLERS = ("backward_marginal_values", "forward_marginal_values")
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "perpetuities"
 
@@ -50,3 +57,14 @@ def test_no_module_starts_threads():
         for scope in thread_pool_users(path.read_text(encoding="utf-8"))
     ]
     assert users == []
+
+
+def test_no_public_callable_takes_jobs():
+    takers = [
+        name for name in perpetuities.__all__
+        # exception classes have no signature
+        if callable(obj := getattr(perpetuities, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "jobs" in inspect.signature(obj).parameters
+    ]
+    assert takers == list(PROBE_SAMPLERS)

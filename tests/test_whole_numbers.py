@@ -101,18 +101,22 @@ COUNTS = [
     *(
         entry
         for name, call in _BATCH.items()
-        for entry in _each_count(
-            name, call, dict(n=10, reps=3, seed=0, jobs=1), dict(n=1, reps=1, seed=0, jobs=1),
-        )
+        for entry in _each_count(name, call, dict(n=10, reps=3, seed=0), dict(n=1, reps=1, seed=0))
+    ),
+    # the two samplers that still take the crossover probe's unread jobs
+    *(
+        entry
+        for name in ("backward_marginal_values", "forward_marginal_values")
+        for entry in _each_count(name, _BATCH[name], dict(n=10, reps=3, seed=0), dict(jobs=1))
     ),
     *_each_count("backward_marginal_values", _BATCH["backward_marginal_values"],
-                 dict(n=10, reps=3, seed=0, jobs=1), dict(rep_start=0)),
+                 dict(n=10, reps=3, seed=0), dict(rep_start=0)),
     ("PrmSpec.seed", lambda v: PrmSpec(**SPEC, seed=v), 0),
     ("sample_prm.rep", lambda v: sample_prm(PrmSpec(**SPEC), v), 0),
     *_each_count(
         "limit_marginal_values",
         lambda **kw: limit_marginal_values(LimitKind.PEAK, PrmSpec(**SPEC), **kw),
-        dict(reps=3, rep_start=0, jobs=1), dict(reps=1, rep_start=0, jobs=1),
+        dict(reps=3, rep_start=0), dict(reps=1, rep_start=0),
     ),
     ("ks_threshold.reps", ks_threshold, 1),
     ("two_sample_threshold.n_first", lambda v: two_sample_threshold(v, 10), 1),
@@ -120,8 +124,7 @@ COUNTS = [
     *(
         entry
         for name, call in _VERIFY.items()
-        for entry in _each_count(name, call, dict(n=10, R=100, seed=0, jobs=1),
-                                 dict(n=1, R=100, seed=0, jobs=1))
+        for entry in _each_count(name, call, dict(n=10, R=100, seed=0), dict(n=1, R=100, seed=0))
     ),
     *_each_count("VerificationReport", VerificationReport,
                  dict(tag="Thm11-backward", n=10, R=100, u=1.0, D=0.01, threshold=0.05,
@@ -132,7 +135,7 @@ COUNTS = [
 ]
 
 
-# every value is invalid, so no thread is ever started for a job count
+# every value is invalid
 @pytest.mark.parametrize(
     "call, value",
     [
