@@ -82,7 +82,6 @@ from .simulate import (
     replication_rng,
     simulate_forward_chain_path,
     simulate_perpetuity_path,
-    write_paths_csv,
 )
 from .slog import signed_log_diff
 from .verify import (
@@ -99,8 +98,6 @@ from .verify import (
     verify_functional_sup,
     verify_marginal,
     verify_suite,
-    write_reports_csv,
-    write_reports_json,
 )
 
 try:
@@ -180,7 +177,4 @@ __all__ = [
     "verify_functional_sup",
     "verify_marginal",
     "verify_suite",
-    "write_paths_csv",
-    "write_reports_csv",
-    "write_reports_json",
 ]

@@ -1,7 +1,9 @@
 """Command line entry point for simulation, limits, verification, and demos.
 
-Every emitted file embeds the resolved run configuration, and outputs
-are byte-identical across reruns with the same configuration and seed,
+This module writes every output file: the path and report writers live
+here, and ``_config_line`` alone formats the ``# config:`` line.  Every
+emitted file embeds the resolved run configuration, and outputs are
+byte-identical across reruns with the same configuration and seed,
 independent of the job count.
 
 Exit codes: 0 success, 1 configuration or usage error or any other
@@ -46,15 +48,9 @@ from .limits import (
     peak_marginal_cdf,
     sample_prm,
 )
-from .simulate import (
-    SimScenario,
-    _csv_rows,
-    _reprs,
-    simulate_forward_chain_path,
-    simulate_perpetuity_path,
-    write_paths_csv,
-)
+from .simulate import SimScenario, simulate_forward_chain_path, simulate_perpetuity_path
 from .verify import (
+    REPORT_COLUMNS,
     TAG_RULES,
     canonical_tag,
     compatible_tags,
@@ -62,8 +58,6 @@ from .verify import (
     verify_functional_sup,
     verify_marginal,
     verify_suite,
-    write_reports_csv,
-    write_reports_json,
 )
 
 _LAW_OVERRIDE_KEYS = ("a", "c", "alpha", "beta", "m0", "q0")
@@ -269,6 +263,79 @@ def _config_line(args, law=None) -> str:
     return f"# config: {json.dumps(_resolved(args, law), sort_keys=True)}\n"
 
 
+def _reprs(a) -> list:
+    """``repr`` of each float of the array ``a``, in one C loop."""
+    return list(map(repr, a.tolist()))
+
+
+def _csv_rows(rep, left, right) -> str:
+    """The rows ``rep,left[k],right[k]`` of two string columns of one
+    length, laid out by list slicing and joined in C, so no Python
+    bytecode runs per row."""
+    rows = [f"{rep},", None, ",", None, "\n"] * len(left)
+    rows[1::5] = left
+    rows[3::5] = right
+    return "".join(rows)
+
+
+# rows per write of ``write_paths_csv``: bounds one path's row strings
+_BLOCK_ROWS = 2048
+
+
+def write_paths_csv(paths, fp):
+    """Consolidated (rep, t, value) rows for an iterable of step paths.
+
+    The iterable is read one path at a time, and each path is written in
+    blocks of ``_BLOCK_ROWS`` rows, so a generator's paths are drawn,
+    written and dropped in turn and no whole path becomes one string.
+
+    Each distinct time is formatted once: a time that the previous path
+    also holds reuses that path's string, so a grid shared across
+    replications is formatted for the first path only.  Each run of
+    equal values (equal bits, so -0.0 and 0.0 stay apart) is formatted
+    once too, so each flat stretch of a backward path costs one repr.
+    """
+    fp.write("rep,t,value\n")
+    prev_t, prev_s = np.empty(0), np.empty(0, dtype=object)
+    for i, p in enumerate(paths):
+        t = np.concatenate(([0.0], p.times))
+        pos = np.searchsorted(prev_t, t)
+        seen = pos < prev_t.size
+        seen[seen] = prev_t[pos[seen]] == t[seen]
+        s = np.empty(t.size, dtype=object)
+        s[seen] = prev_s[pos[seen]]
+        s[~seen] = np.array(_reprs(t[~seen]), dtype=object)
+        v = p.values
+        bits = v.view(np.int64)
+        new = np.concatenate(([True], bits[1:] != bits[:-1]))
+        if new.all():
+            words = None
+        else:
+            words = np.array(_reprs(v[new]), dtype=object)
+            run = np.cumsum(new) - 1
+        rep = p.meta.get("rep", i)
+        for lo in range(0, t.size, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            right = _reprs(v[block]) if words is None else words[run[block]].tolist()
+            fp.write(_csv_rows(rep, s[block].tolist(), right))
+        prev_t, prev_s = t, s
+
+
+def write_reports_json(reports, fp, config: dict) -> None:
+    payload = {"config": config, "reports": [r.to_dict() for r in reports]}
+    json.dump(payload, fp, indent=2, sort_keys=True)
+    fp.write("\n")
+
+
+def write_reports_csv(reports, fp, config_line: str) -> None:
+    """``config_line`` (built by ``_config_line``), the header row of
+    ``REPORT_COLUMNS``, then one row per report."""
+    fp.write(config_line)
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(key for key, _ in REPORT_COLUMNS)
+    writer.writerows(r.to_dict().values() for r in reports)
+
+
 def _cmd_simulate(args) -> int:
     law = _resolve_law(args, "cauchy")
     scenario = SimScenario(law, args.n, T=args.T, x0=args.x0, seed=args.seed)
@@ -361,11 +428,10 @@ def _cmd_verify(args) -> int:
     args.T = args.u if args.T is None else args.T
 
     reports = _run_verification(args, law, tag)
-    config = _resolved(args, law)
     with _out_file(args, "verify_reports.json") as fh:
-        write_reports_json(reports, fh, config=config)
+        write_reports_json(reports, fh, _resolved(args, law))
     with _out_file(args, "verify_summary.csv") as fh:
-        write_reports_csv(reports, fh, config=config)
+        write_reports_csv(reports, fh, _config_line(args, law))
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(

@@ -50,7 +50,7 @@ from .slog import signed_log_add_arrays  # noqa: F401
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One simulation setting: law, scaling index, horizon, start, seed."""
+    """One simulation setting: law, scaling index, horizon, forward start, seed."""
 
     law: CoefficientLaw
     n: int
@@ -262,61 +262,3 @@ def pakes_values(law, n, reps, seed):
     """log of sum_{k=0}^{n} e^{-ak} |Q_{k+1}| at a = law.a per replication,
     one positive log-space pool each (always cancellation-free)."""
     return batch_columns(law, n, 1.0, reps, seed, (), pakes=True)[None, "marginal"]
-
-
-def _reprs(a) -> list:
-    """``repr`` of each float of the array ``a``, in one C loop."""
-    return list(map(repr, a.tolist()))
-
-
-def _csv_rows(rep, left, right) -> str:
-    """The rows ``rep,left[k],right[k]`` of two string columns of one
-    length, laid out by list slicing and joined in C, so no Python
-    bytecode runs per row."""
-    rows = [f"{rep},", None, ",", None, "\n"] * len(left)
-    rows[1::5] = left
-    rows[3::5] = right
-    return "".join(rows)
-
-
-# rows per write of ``write_paths_csv``: bounds one path's row strings
-_BLOCK_ROWS = 2048
-
-
-def write_paths_csv(paths, fp):
-    """Consolidated (rep, t, value) rows for an iterable of step paths.
-
-    The iterable is read one path at a time, and each path is written in
-    blocks of ``_BLOCK_ROWS`` rows, so a generator's paths are drawn,
-    written and dropped in turn and no whole path becomes one string.
-
-    Each distinct time is formatted once: a time that the previous path
-    also holds reuses that path's string, so a grid shared across
-    replications is formatted for the first path only.  Each run of
-    equal values (equal bits, so -0.0 and 0.0 stay apart) is formatted
-    once too, so each flat stretch of a backward path costs one repr.
-    """
-    fp.write("rep,t,value\n")
-    prev_t, prev_s = np.empty(0), np.empty(0, dtype=object)
-    for i, p in enumerate(paths):
-        t = np.concatenate(([0.0], p.times))
-        pos = np.searchsorted(prev_t, t)
-        seen = pos < prev_t.size
-        seen[seen] = prev_t[pos[seen]] == t[seen]
-        s = np.empty(t.size, dtype=object)
-        s[seen] = prev_s[pos[seen]]
-        s[~seen] = np.array(_reprs(t[~seen]), dtype=object)
-        v = p.values
-        bits = v.view(np.int64)
-        new = np.concatenate(([True], bits[1:] != bits[:-1]))
-        if new.all():
-            words = None
-        else:
-            words = np.array(_reprs(v[new]), dtype=object)
-            run = np.cumsum(new) - 1
-        rep = p.meta.get("rep", i)
-        for lo in range(0, t.size, _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            right = _reprs(v[block]) if words is None else words[run[block]].tolist()
-            fp.write(_csv_rows(rep, s[block].tolist(), right))
-        prev_t, prev_s = t, s

@@ -60,6 +60,9 @@ REQUESTS = {
     "suite-jobs": [_SUITE + ("--jobs", "1"), _SUITE + ("--jobs", "3")],
     "functionalsup": [("verify", "--theorem", "functionalsup", "--variant", "thm11-forward")],
     "forwardbackwardequality": [("verify", "--theorem", "forwardbackwardequality")],
+    # a point mass, whose two chains agree up to roundoff
+    "forwardbackwardequality-degenerate": [("verify", "--theorem", "forwardbackwardequality",
+                                            "--law", "degenerate", "--n", "20", "--R", "100")],
     # paths, limit samples and tables
     **{
         f"simulate-{chain}": [("simulate", "--law", "regvar", "--chain", chain) + _SMALL_SIM]

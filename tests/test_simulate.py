@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from perpetuities import cli
+from perpetuities.cli import write_paths_csv
 from perpetuities.errors import ParameterError, StatisticalError
 from perpetuities.laws import PRESET_NAMES, CoefficientLaw, draw_log_mq, preset_law
 from perpetuities.paths import StepPath
@@ -25,7 +27,6 @@ from perpetuities.simulate import (
     replication_rng,
     simulate_forward_chain_path,
     simulate_perpetuity_path,
-    write_paths_csv,
 )
 from perpetuities.slog import sign_pools, signed_log_cumsum, signed_log_diff
 
@@ -530,7 +531,7 @@ class TestCsvOutput:
     @pytest.mark.parametrize("offset", [-1, 0, 1, None], ids=["block-1", "block", "block+1",
                                                               "2block+1"])
     def test_row_blocks_match_per_row_writer(self, offset):
-        block = simulate_module._BLOCK_ROWS
+        block = cli._BLOCK_ROWS
         rows = 2 * block + 1 if offset is None else block + offset
         rng = np.random.default_rng(rows)
         # runs of 7 equal values, which cross the edge at 2 * block
@@ -553,7 +554,7 @@ class TestCsvOutput:
 
     def test_reads_paths_lazily(self):
         # path k's last row is written before path k + 1 is asked for
-        block = simulate_module._BLOCK_ROWS
+        block = cli._BLOCK_ROWS
         paths = [StepPath(1.0, np.arange(1, m) / m, np.arange(m) % 3, meta={"rep": k})
                  for k, m in enumerate((3, 2 * block + 5, 4))]
         buf = io.StringIO()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import kolmogi
 
+from perpetuities.cli import write_reports_csv, write_reports_json
 from perpetuities.errors import ConfigurationError, ParameterError, StatisticalError
 from perpetuities.laws import PRESET_NAMES, compute_bn, preset_law
 from perpetuities.limits import LimitKind, limit_marginal_values
@@ -33,8 +34,7 @@ from perpetuities.verify import (
     verify_forward_backward_equality,
     verify_functional_sup,
     verify_marginal,
-    write_reports_csv,
-    write_reports_json,
+    verify_suite,
 )
 
 CAUCHY = preset_law("cauchy")
@@ -183,7 +183,7 @@ class TestReportObject:
     def test_csv_and_json_writers(self):
         reports = [self.make(), self.make(tag="FunctionalSup", D=0.06)]
         buf = io.StringIO()
-        write_reports_csv(reports, buf, config={"seed": 7})
+        write_reports_csv(reports, buf, '# config: {"seed": 7}\n')
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1].split(",")[:3] == ["tag", "n", "R"]
@@ -274,6 +274,17 @@ class TestForwardBackwardEquality:
         rep = verify_forward_backward_equality(law, 1, 1.0, 100, seed=3)
         assert rep.D == 0.0 and rep.passed
         assert rep.tag == "ForwardBackwardEquality"
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_point_mass_past_two_terms(self, n):
+        # the two kernels round a point mass differently (every backward
+        # value 1e-16 below every forward one at n = 20); agreeing
+        # values are tied before the test, not read as two atoms
+        law = preset_law("degenerate")
+        rep = verify_forward_backward_equality(law, n, 1.0, 100, seed=0)
+        assert rep.D == 0.0 and rep.passed
+        (suite,) = verify_suite(law, n, 1.0, 1.0, 100, seed=0)
+        assert suite == rep
 
     def test_cauchy_agrees(self):
         rep = verify_forward_backward_equality(CAUCHY, 2000, 1.0, 2000, seed=13)
