@@ -221,6 +221,9 @@ def _resolved(args, law=None) -> dict:
     d = dict(vars(args), version=__version__)
     for key in ("jobs", "out", "config"):
         del d[key]
+    for key, value in d.items():  # NaN or inf in a flag that no domain check read
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"--{key.replace('_', '-')} must be finite, got {value}")
     if law is not None:
         for key in _LAW_OVERRIDE_KEYS:
             del d[key]
@@ -260,7 +263,7 @@ def _out_file(args, name: str):
 
 
 def _config_line(args, law=None) -> str:
-    return f"# config: {json.dumps(_resolved(args, law), sort_keys=True)}\n"
+    return f"# config: {json.dumps(_resolved(args, law), sort_keys=True, allow_nan=False)}\n"
 
 
 def _reprs(a) -> list:
@@ -323,7 +326,7 @@ def write_paths_csv(paths, fp):
 
 def write_reports_json(reports, fp, config: dict) -> None:
     payload = {"config": config, "reports": [r.to_dict() for r in reports]}
-    json.dump(payload, fp, indent=2, sort_keys=True)
+    json.dump(payload, fp, indent=2, sort_keys=True, allow_nan=False)
     fp.write("\n")
 
 
@@ -414,11 +417,12 @@ def _run_verification(args, law, tag):
 def _cmd_verify(args) -> int:
     tag = None if args.theorem is None else canonical_tag(args.theorem)
     variant = None if args.variant is None else canonical_tag(args.variant)
-    preset = TAG_RULES[tag].preset if tag in TAG_RULES else "cauchy"
-    law = _resolve_law(args, preset)
     if tag not in (None, "FunctionalSup"):
         variant = None  # a marginal or equality check reads no variant
-    elif variant is None:
+    # the default law is the preset of the tag the request reads
+    rule = TAG_RULES.get(tag, TAG_RULES.get(variant))
+    law = _resolve_law(args, "cauchy" if rule is None else rule.preset)
+    if variant is None and tag in (None, "FunctionalSup"):
         variant = next(iter(compatible_tags(law)), None)
     if tag == "FunctionalSup" and variant is None:
         raise ConfigurationError(
@@ -448,9 +452,9 @@ def _cmd_theorem21(args) -> int:
     args.T = float(inst.f_limit.horizon if args.T is None else args.T)
     if args.gamma is None:
         args.gamma = default_gamma(inst.nu_limit)
-    config_line = _config_line(args)
-
+    # checked first, so a NaN window or level fails its domain check
     report = check_conditions(inst, args.T, args.gamma)
+    config_line = _config_line(args)
     with _out_file(args, "theorem21_conditions.csv") as fh:
         fh.write(config_line)
         writer = csv.writer(fh, lineterminator="\n")
@@ -472,17 +476,19 @@ def _cmd_theorem21(args) -> int:
     return 0
 
 
+def _finite_or_null(value):
+    """``value`` with each NaN or inf float, also in a tuple, as None (JSON null)."""
+    if isinstance(value, tuple):
+        return tuple(map(_finite_or_null, value))
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _cmd_classify(args) -> int:
     law = _resolve_law(args)
     regime = classify_regime(law, rng=np.random.default_rng(args.seed))
-    payload = dataclasses.asdict(regime)
-    for key, value in payload.items():
-        if isinstance(value, float) and math.isnan(value):
-            payload[key] = None
-        elif isinstance(value, tuple):
-            payload[key] = list(value)
+    payload = {key: _finite_or_null(value) for key, value in dataclasses.asdict(regime).items()}
     doc = {"config": _resolved(args, law), "regime": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out is not None:
         with _out_file(args, "classify_regime.json") as fh:

@@ -66,9 +66,13 @@ class CoefficientLaw:
             )
         _check_prob("p_M", self.p_M)
         _check_prob("p_Q", self.p_Q)
-        if self.family in _GAUSSIAN_DRIFT and not (self.a > 0 and np.isfinite(self.a)):
+        # every family, so no NaN or inf reaches a config line
+        for name in ("a", "c", "alpha", "beta", "m0", "q0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.family in _GAUSSIAN_DRIFT and not self.a > 0:
             raise ParameterError(f"a must be positive, got {self.a}")
-        if self.family == "CauchyTail" and not (self.c > 0 and np.isfinite(self.c)):
+        if self.family == "CauchyTail" and not self.c > 0:
             raise ParameterError(f"c must be positive, got {self.c}")
         if self.family in ("RegVarTail", "HeavyNegM") and not (0 < self.alpha <= 1):
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
@@ -76,11 +80,8 @@ class CoefficientLaw:
             raise ParameterError(
                 f"beta must lie in (alpha, 1) = ({self.alpha}, 1), got {self.beta}"
             )
-        if self.family == "Degenerate":
-            if self.m0 == 0 or not np.isfinite(self.m0):
-                raise ParameterError("degenerate M must be nonzero and finite")
-            if self.q0 == 0 or not np.isfinite(self.q0):
-                raise ParameterError("degenerate Q must be nonzero and finite")
+        if self.family == "Degenerate" and 0 in (self.m0, self.q0):
+            raise ParameterError("degenerate M and Q must be nonzero")
 
     @property
     def x0(self) -> float:

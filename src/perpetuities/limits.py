@@ -7,8 +7,9 @@ keeps finitely many atoms while leaving every sup-type statistic above
 ``gamma`` untouched, so the truncated measure is what gets sampled.
 
 This module draws the truncated measure, builds the limit paths, samples
-their one-point marginals in batch, and evaluates the closed-form
-marginal distributions.
+their values at the horizon T in batch, and evaluates the closed-form
+marginal distributions.  A value at an interior time u is
+``extremal_path(sample_prm(spec, r), kind).value_at(u)``.
 """
 
 import enum
@@ -140,27 +141,19 @@ def extremal_path(pm: PointMeasure, kind: LimitKind, grid_step: float | None = N
     return _collapse_running(T, pm.times, np.maximum.accumulate(scores), 0.0, meta)
 
 
-def limit_marginal_values(
-    kind: LimitKind,
-    spec: PrmSpec,
-    reps: int,
-    u: float | None = None,
-    rep_start: int = 0,
-) -> np.ndarray:
-    """Value of the ``kind`` limit path at time ``u`` across replications.
+def limit_marginal_values(kind: LimitKind, spec: PrmSpec, reps: int,
+                          rep_start: int = 0) -> np.ndarray:
+    """Value of the ``kind`` limit path at time ``spec.T`` across
+    replications; atom times lie in [0, T), so every atom counts.
 
     Replication ``r`` draws from the stream (spec.seed, rep_start + r).
     """
-    u = spec.T if u is None else float(u)
-    if not (0.0 < u <= spec.T):
-        raise ParameterError(f"evaluation time must lie in (0, T], got {u}")
 
     def one(r):
         pm = sample_prm(spec, rep_start + r)
-        sel = pm.times <= u
-        scores = _atom_scores(kind, pm.times[sel], pm.marks[sel])
+        scores = _atom_scores(kind, pm.times, pm.marks)
         sup = float(np.max(scores)) if scores.size else 0.0
-        return sup - u if kind is LimitKind.FORWARD else sup
+        return sup - spec.T if kind is LimitKind.FORWARD else sup
 
     return _map_replications(one, reps)
 

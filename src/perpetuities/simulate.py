@@ -25,13 +25,13 @@ function mapped by ``_map_replications``, which returns one row per
 replication; the row depends on r alone.
 
 ``batch_columns`` draws each replication once and reads every column
-off that draw.  Per chain a row holds the last log-magnitude, its
-maximum, the endpoint flag (a cancelled last combine, plus one if the
-last iterate is exactly zero) and the prefix flag (all cancelled
-combines, plus one if any iterate is exactly zero).  The backward
-marginal carries the endpoint flag; the forward marginal and both sups
-carry the prefix flag; the Pakes sum is never flagged.  The samplers
-other than ``backward_marginal_values`` are lookups in that table.
+off that draw, as a (value, flag) pair.  Per chain a row holds the
+marginal, the last log-magnitude, and the sup, its maximum.  The sup and
+the forward marginal carry the prefix flag (all cancelled combines, plus
+one if any iterate is exactly zero); the backward marginal carries the
+endpoint flag (a cancelled last combine, plus one if the last iterate is
+exactly zero); the Pakes sum's flag is always 0.  The samplers other than
+``backward_marginal_values`` are lookups in that table.
 """
 
 from __future__ import annotations
@@ -172,17 +172,14 @@ def _map_replications(one, reps):
     return np.array([one(r) for r in range(reps)])
 
 
-# the four statistics of one chain, in row order (flags as counts)
-_CHAIN_STATS = ("last", "sup", "end", "prefix")
-
-
 def _chain_stats(coeffs, products, forward):
-    """The ``_CHAIN_STATS`` of one chain's iterates: the last
-    log-magnitude, its maximum, the endpoint flag and the prefix flag."""
+    """One chain's marginal and sup as adjacent (value, flag) pairs: the
+    last log-magnitude with the endpoint flag (backward) or the prefix
+    flag (forward), then the maximum with the prefix flag."""
     sign, mag, cancelled = _chain_mags(coeffs, forward=forward, products=products)
-    any_zero = np.count_nonzero(sign) < sign.size
-    end = int(cancelled[-1]) + int(sign[-1] == 0)
-    return mag[-1], mag.max(), end, np.count_nonzero(cancelled) + int(any_zero)
+    prefix = np.count_nonzero(cancelled) + int(np.count_nonzero(sign) < sign.size)
+    end = prefix if forward else int(cancelled[-1]) + int(sign[-1] == 0)
+    return mag[-1], end, mag.max(), prefix
 
 
 def batch_columns(law, n, u, reps, seed, chains, pakes=False):
@@ -198,12 +195,11 @@ def batch_columns(law, n, u, reps, seed, chains, pakes=False):
     count = _index_at(n, u)
     if not set(chains) <= {"backward", "forward"}:
         raise ParameterError(f"chains must be 'backward' or 'forward', got {chains}")
-    names = [(chain, stat) for chain in chains for stat in _CHAIN_STATS]
+    names = [(chain, stat) for chain in chains for stat in ("marginal", "sup")]
     if pakes:
-        # Degenerate and HeavyNegM laws leave a unchecked
-        if not (law.a > 0 and np.isfinite(law.a)):
+        if not law.a > 0:  # Degenerate and HeavyNegM laws leave its sign unchecked
             raise ParameterError(f"decay rate must be positive, got {law.a}")
-        names.append((None, "sum"))
+        names.append((None, "marginal"))
         decay = -law.a * np.arange(count)
 
     def one(r):
@@ -211,18 +207,11 @@ def batch_columns(law, n, u, reps, seed, chains, pakes=False):
         # the Pakes sums alone need no products
         products = _products(*coeffs[:2]) if chains else None
         row = sum((_chain_stats(coeffs, products, chain == "forward") for chain in chains), ())
-        return row + (pool_logsumexp(decay + coeffs[3]),) if pakes else row
+        return row + (pool_logsumexp(decay + coeffs[3]), 0) if pakes else row
 
-    table = dict(zip(names, _map_replications(one, reps).T))
-    columns = {}
-    for chain in chains:
-        end = table[chain, "end" if chain == "backward" else "prefix"]
-        columns[chain, "marginal"] = table[chain, "last"].copy(), end.astype(np.int64)
-        columns[chain, "sup"] = table[chain, "sup"].copy(), table[chain, "prefix"].astype(np.int64)
-    if pakes:
-        sums = table[None, "sum"].copy()
-        columns[None, "marginal"] = sums, np.zeros(sums.size, dtype=np.int64)
-    return columns
+    table = _map_replications(one, reps).T
+    return {name: (table[2 * i].copy(), table[2 * i + 1].astype(np.int64))
+            for i, name in enumerate(names)}
 
 
 def backward_marginal_values(law, n, u, reps, seed, rep_start=0, jobs=1):

@@ -313,15 +313,11 @@ def verify_marginal(
     regime; degenerate replications are dropped before the test.  The
     check passes when D is at most the absolute bound ``DEFAULT_D_BOUND``.
     """
-    tag = canonical_tag(tag)
-    rule = TAG_RULES.get(tag)
-    if rule is None:
-        raise ConfigurationError(f"{tag} is not a marginal verification tag")
-    rule.check_family(law)
+    rule = _rule(tag, law)
     n, R = whole_number("n", n), whole_number("R", R, low=100)
     if rule.chain is None and u != 1.0:
         raise ConfigurationError(
-            f"{tag} checks the n-th indexed sum; its limit has no time "
+            f"{rule.tag} checks the n-th indexed sum; its limit has no time "
             f"parameter, so u must be 1, got {u}"
         )
     if rule.chain == "backward":
@@ -330,16 +326,28 @@ def verify_marginal(
         sample = forward_marginal_values(law, n, u, R, seed)
     else:
         sample = pakes_values(law, n, R, seed)
-    return _marginal_report(tag, law, n, u, R, seed, *sample)
+    return _marginal_report(rule, law, n, u, R, seed, *sample)
 
 
-def _marginal_report(tag, law, n, u, R, seed, values, flags):
+def _rule(tag, law, sup=False):
+    """The rule of ``tag``, whose limit must cover the law's family: a
+    marginal tag, or with ``sup`` a ``FunctionalSup`` variant (a chain
+    tag); otherwise a ConfigurationError."""
+    tag = canonical_tag(tag)
+    rule = TAG_RULES.get(tag)
+    if rule is None or (sup and rule.chain is None):
+        raise ConfigurationError(f"{tag} has no path-functional form" if sup
+                                 else f"{tag} is not a marginal verification tag")
+    rule.check_family(law)
+    return rule
+
+
+def _marginal_report(rule, law, n, u, R, seed, values, flags):
     """The report of ``verify_marginal`` on its drawn sample."""
-    rule = TAG_RULES[tag]
-    samples, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
+    samples, degenerate = _screen_degenerate(rule.tag, values / rule.scale(law, n), flags, R)
     D = ks_statistic(samples, rule.limit_cdf(law, u))
     return VerificationReport(
-        tag=tag,
+        tag=rule.tag,
         n=n,
         R=R,
         u=u,
@@ -415,31 +423,23 @@ def verify_functional_sup(
     forward kind. The check passes when D is at most the 1% two-sample
     critical value of the kept sample sizes.
     """
-    rule = _sup_rule(tag, law)
+    rule = _rule(tag, law, sup=True)
     n, R = whole_number("n", n), whole_number("R", R, low=100)
+    return _sup_report(rule, law, n, T, R, seed, *_sup_values(rule, law, n, T, R, seed))
+
+
+def _sup_values(rule, law, n, T, R, seed):
+    # each sampler is read as a module global, the name the bench/tracing.py hooks wrap
     sampler = backward_sup_values if rule.chain == "backward" else forward_sup_values
-    return _sup_report(rule.tag, law, n, T, R, seed, *sampler(law, n, T, R, seed))
+    return sampler(law, n, T, R, seed)
 
 
-def _sup_rule(tag, law):
-    """The rule of ``tag`` as a ``FunctionalSup`` variant: a chain tag
-    whose limit covers the law's family, or a ConfigurationError."""
-    tag = canonical_tag(tag)
-    rule = TAG_RULES.get(tag)
-    if rule is None or rule.chain is None:
-        raise ConfigurationError(f"{tag} has no path-functional form")
-    rule.check_family(law)
-    return rule
-
-
-def _sup_report(tag, law, n, T, R, seed, values, flags):
+def _sup_report(rule, law, n, T, R, seed, values, flags):
     """The report of ``verify_functional_sup`` on its drawn sample."""
-    rule = TAG_RULES[tag]
-    sim_good, degenerate = _screen_degenerate(tag, values / rule.scale(law, n), flags, R)
+    sim_good, degenerate = _screen_degenerate(rule.tag, values / rule.scale(law, n), flags, R)
     # the backward and peak paths never decrease; the forward path's sup is its largest mark
     kind = LimitKind.PEAK if rule.kind is LimitKind.FORWARD else rule.kind
-    spec = rule.limit_spec(law, T, seed)
-    lim = limit_marginal_values(kind, spec, R, u=T, rep_start=R)
+    lim = limit_marginal_values(kind, rule.limit_spec(law, T, seed), R, rep_start=R)
     D = two_sample_ks(sim_good, lim)
     return VerificationReport(
         tag="FunctionalSup",
@@ -450,7 +450,7 @@ def _sup_report(tag, law, n, T, R, seed, values, flags):
         threshold=two_sample_threshold(sim_good.size, lim.size),
         degenerate=degenerate,
         seed=int(seed),
-        detail=f"variant={tag} family={law.family}",
+        detail=f"variant={rule.tag} family={law.family}",
     )
 
 
@@ -475,20 +475,18 @@ def verify_suite(
     own batches, as when their checks run alone.
     """
     n, R = whole_number("n", n), whole_number("R", R, low=100)
-    rule = None if variant is None else _sup_rule(variant, law)
-    marginals = [t for t in compatible_tags(law) if TAG_RULES[t].chain or u == 1.0]
-    pakes = any(TAG_RULES[t].chain is None for t in marginals)
+    sup_rule = None if variant is None else _rule(variant, law, sup=True)
+    rules = [r for r in (TAG_RULES[t] for t in compatible_tags(law)) if r.chain or u == 1.0]
+    pakes = any(rule.chain is None for rule in rules)
     columns = batch_columns(law, n, u, R, seed, ("backward", "forward"), pakes)
-    reports = [
-        _marginal_report(t, law, n, u, R, seed, *columns[TAG_RULES[t].chain, "marginal"])
-        for t in marginals
-    ]
+    reports = [_marginal_report(rule, law, n, u, R, seed, *columns[rule.chain, "marginal"])
+               for rule in rules]
     reports.append(_equality_report(law, n, u, R, seed, *columns["forward", "marginal"]))
-    if rule is None:
-        return reports
-    if T != u:
-        return reports + [verify_functional_sup(rule.tag, law, n, T, R, seed)]
-    return reports + [_sup_report(rule.tag, law, n, T, R, seed, *columns[rule.chain, "sup"])]
+    if sup_rule is not None:
+        sup = (columns[sup_rule.chain, "sup"] if T == u
+               else _sup_values(sup_rule, law, n, T, R, seed))
+        reports.append(_sup_report(sup_rule, law, n, T, R, seed, *sup))
+    return reports
 
 
 def compatible_tags(law: CoefficientLaw):

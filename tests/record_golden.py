@@ -59,6 +59,9 @@ REQUESTS = {
     "suite-heavynegm": [("verify", "--law", "heavynegm", "--T", "0.5")],
     "suite-jobs": [_SUITE + ("--jobs", "1"), _SUITE + ("--jobs", "3")],
     "functionalsup": [("verify", "--theorem", "functionalsup", "--variant", "thm11-forward")],
+    # no --law: the variant's preset law (regvar)
+    "functionalsup-default-law": [("verify", "--theorem", "functionalsup",
+                                   "--variant", "thm15-forward")],
     "forwardbackwardequality": [("verify", "--theorem", "forwardbackwardequality")],
     # a point mass, whose two chains agree up to roundoff
     "forwardbackwardequality-degenerate": [("verify", "--theorem", "forwardbackwardequality",

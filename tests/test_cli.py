@@ -12,7 +12,7 @@ import perpetuities.functionals as functionals
 import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
 from perpetuities.errors import ParameterError, StatisticalError
-from perpetuities.laws import classify_regime, draw_log_mq, preset_law
+from perpetuities.laws import Regime, classify_regime, draw_log_mq, preset_law
 from perpetuities.limits import PrmSpec, sample_prm
 from perpetuities.verify import (
     two_sample_threshold,
@@ -95,10 +95,18 @@ class TestDomainChecks:
         ("simulate", "--n", "0", "--R", "1"),
         ("limits", "prm", "--R", "2", "--gamma", "1e-9"),
         ("limits", "path", "--kind", "forward", "--R", "1", "--grid-step", "1e-12"),
+        # a non-finite value fails its check, never reaching a config line as NaN
+        ("simulate", "--law", "cauchy", "--m0", "nan", "--n", "5", "--R", "1"),
+        ("simulate", "--law", "regvar", "--c", "inf", "--n", "5", "--R", "1"),
+        ("verify", "--law", "heavynegm", "--a", "nan", "--n", "50", "--R", "100"),
+        ("theorem21", "--T", "nan"),
+        ("limits", "path", "--kind", "forward", "--R", "1", "--grid-step", "nan"),
+        ("verify", "--theorem", "thm11-backward", "--T", "inf", "--n", "50", "--R", "100"),
     ], ids=["xs-nan", "xs-inf", "simulate-R", "limits-R", "jobs", "xs-abc", "ns-abc",
             "ns-fraction", "verify-gamma", "R-abc", "functionalsup-no-variant", "seed-negative",
             "limits-seed-negative", "variant-unknown", "n-fraction", "n-zero",
-            "prm-tiny-gamma", "path-tiny-grid-step"])
+            "prm-tiny-gamma", "path-tiny-grid-step", "law-m0-nan", "law-c-inf", "law-a-nan",
+            "theorem21-T-nan", "grid-step-nan", "unread-T-inf"])
     def test_rejected_with_exit_one(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 1 and out == ""
@@ -428,6 +436,19 @@ class TestVerifyCommand:
         assert [(w["tag"], float(w["threshold"])) for w in rows] == list(gates.items())
         assert all(w["pass"] == str(float(w["D"]) <= float(w["threshold"])) for w in rows)
 
+    @pytest.mark.parametrize("flags, family", [
+        (("--theorem", "functionalsup", "--variant", "thm15-forward"), "RegVarTail"),
+        (("--variant", "thm15-backward"), "RegVarTail"),
+        (("--theorem", "thm15-forward", "--variant", "thm11-forward"), "RegVarTail"),
+        (("--theorem", "forwardbackwardequality", "--variant", "thm15-forward"), "CauchyTail"),
+    ], ids=["functionalsup", "suite", "marginal-over-variant", "equality-reads-no-variant"])
+    def test_default_law_is_the_read_tags_preset(self, capsys, tmp_path, flags, family):
+        code, _, err = run(capsys, "verify", *flags, "--n", "300", "--R", "200",
+                           "--out", str(tmp_path))
+        assert code in (0, 2), err
+        config = json.loads((tmp_path / "verify_reports.json").read_text())["config"]
+        assert config["law"]["family"] == family
+
     def test_statistical_failure_exit(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--theorem", "forwardbackwardequality",
@@ -615,6 +636,29 @@ class TestClassifyCommand:
 
     def test_law_required(self, capsys):
         assert run(capsys, "classify")[0] == 1
+
+    @staticmethod
+    def strict_json(text):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        return json.loads(text, parse_constant=refuse)
+
+    def test_infinite_mean_is_null(self, capsys):
+        # HeavyNegM has E log|M| = -inf
+        code, out, _ = run(capsys, "classify", "--law", "heavynegm")
+        assert code == 0
+        assert self.strict_json(out)["regime"]["mean_log_m"] is None
+
+    def test_non_finite_tuple_entries_are_null(self, capsys, monkeypatch):
+        regime = Regime("ConvergentPerpetuity", -1.0, -1.0, (1.0, float("inf")),
+                        (float("nan"), 2.0), float("inf"))
+        monkeypatch.setattr(cli, "classify_regime", lambda law, rng: regime)
+        code, out, _ = run(capsys, "classify", "--law", "cauchy")
+        assert code == 0
+        doc = self.strict_json(out)["regime"]
+        assert doc["truncation_levels"] == [1.0, None]
+        assert doc["integral_estimates"] == [None, 2.0]
+        assert doc["growth_ratio"] is None
 
     def test_seed_drives_the_monte_carlo_evidence(self, capsys):
         law = preset_law("cauchy")

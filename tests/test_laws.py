@@ -17,6 +17,7 @@ from perpetuities.errors import (
 )
 from perpetuities import laws
 from perpetuities.laws import (
+    FAMILIES,
     TRUNCATION_LEVELS,
     CoefficientLaw,
     classify_regime,
@@ -94,6 +95,15 @@ class TestConstruction:
             CoefficientLaw("Degenerate", m0=0.0, q0=1.0)
         with pytest.raises(ParameterError):
             CoefficientLaw("Degenerate", m0=2.0, q0=0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", ["a", "c", "alpha", "beta", "m0", "q0"])
+    def test_non_finite_fields_rejected(self, family, name):
+        # also the fields a family never reads, which would still reach
+        # the config line of every output file
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                CoefficientLaw(family, **{name: value})
 
     def test_tail_cutoffs(self):
         assert CoefficientLaw("CauchyTail", c=2.5).x0 == 2.5

@@ -167,18 +167,18 @@ class TestMarginalSampler:
                 np.testing.assert_allclose(vals[r], p.value_at(1.5), rtol=1e-12)
 
     def test_interior_time(self):
+        # the batch sampler reads the horizon only; an interior value is
+        # read off the path, from the atoms up to that time
         spec = PrmSpec(c=1.0, alpha=1.0, T=2.0, gamma=0.3, seed=33)
-        vals = limit_marginal_values(LimitKind.BACKWARD, spec, 10, u=0.6)
         for r in range(10):
             pm = sample_prm(spec, r)
+            value = extremal_path(pm, LimitKind.BACKWARD).value_at(0.6)
             sel = pm.times <= 0.6
             want = np.max(pm.marks[sel] - pm.times[sel]) if sel.any() else 0.0
-            np.testing.assert_allclose(vals[r], want, rtol=1e-12)
+            np.testing.assert_allclose(value, want, rtol=1e-12)
 
     def test_validation(self):
         spec = PrmSpec(c=1.0, alpha=1.0, T=1.0, gamma=0.5)
-        with pytest.raises(ParameterError):
-            limit_marginal_values(LimitKind.PEAK, spec, 5, u=2.0)
         with pytest.raises(ParameterError):
             limit_marginal_values(LimitKind.PEAK, spec, 0)
         with pytest.raises(ParameterError):
@@ -203,7 +203,7 @@ class TestMarginalSampler:
         # the forward path falls at unit rate between atoms, so its sup
         # over [0, T] is its largest mark, the PEAK value at T
         spec = PrmSpec(c=c, alpha=alpha, T=T, gamma=gamma, seed=seed)
-        peak = limit_marginal_values(LimitKind.PEAK, spec, 5, u=spec.T)
+        peak = limit_marginal_values(LimitKind.PEAK, spec, 5)
         for r in range(5):
             path = extremal_path(sample_prm(spec, r), LimitKind.FORWARD)
             # the path starts at 0 at t = 0, which its grid leaves out
@@ -251,7 +251,7 @@ class TestSelfConsistency:
         crit = ks_threshold(400, 0.01)
         passes = 0
         for seed in range(100):
-            vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400, u=1.0)
+            vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400)
             passes += int(ks_statistic(vals, rule.limit_cdf(law, 1.0)) <= crit)
         assert passes >= 95
 
@@ -259,7 +259,7 @@ class TestSelfConsistency:
         rule, law = TAG_RULES["Thm15-backward"], preset_law("regvar")
         crit = ks_threshold(400, 0.01)
         for seed in range(10):
-            vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400, u=1.0)
+            vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400)
             D = ks_statistic(vals, rule.limit_cdf(law, 1.0))
             assert D <= crit, (seed, D)
 

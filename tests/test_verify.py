@@ -324,7 +324,7 @@ class TestFunctionalSup:
         sups, flags = backward_sup_values(CAUCHY, 1000, 1.0, r, seed=16)
         sim = sups[flags == 0] / rule.scale(CAUCHY, 1000)
         spec = rule.limit_spec(preset_law("cauchy", c=3.0), 1.0, 16)
-        lim = limit_marginal_values(rule.kind, spec, r, u=1.0, rep_start=r)
+        lim = limit_marginal_values(rule.kind, spec, r, rep_start=r)
         D = two_sample_ks(sim, lim)
         assert D > 0.2 and not D <= two_sample_threshold(sim.size, lim.size)
 
@@ -335,7 +335,7 @@ class TestFunctionalSup:
         rep = verify_functional_sup("thm11-backward", CAUCHY, 500, 1.0, r, seed=4)
         sups, flags = backward_sup_values(CAUCHY, 500, 1.0, r, seed=4)
         spec = TAG_RULES["Thm11-backward"].limit_spec(CAUCHY, 1.0, 4)
-        lim = limit_marginal_values(LimitKind.BACKWARD, spec, r, u=1.0, rep_start=r)
+        lim = limit_marginal_values(LimitKind.BACKWARD, spec, r, rep_start=r)
         manual = two_sample_ks(sups[flags == 0] / (CAUCHY.a * 500), lim)
         assert rep.D == manual
 
