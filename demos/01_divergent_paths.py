@@ -57,7 +57,7 @@ fwd = np.array([
     simulate_forward_chain_path(scenario, rep=R + r).value_at(1.0) for r in range(R)
 ])
 D = two_sample_ks(bwd / scale, fwd / scale)
-band = two_sample_threshold(R, R, level=0.01)
+band = two_sample_threshold(R, R)
 print(f"\ntwo-sample KS on {R} + {R} scaled values at t=1: "
       f"D = {D:.4f}, 1% band {band:.4f}")
 print("verdict:", "same law" if D <= band else "distinguishable")

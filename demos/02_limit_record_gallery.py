@@ -67,7 +67,7 @@ def cdf(x):
 
 
 D = ks_statistic(np.sort(values), cdf)
-band = ks_threshold(600, level=0.05)
+band = ks_threshold(600)
 print(f"\nbackward record at t=1 over 600 draws: KS D = {D:.4f}, "
       f"5% band {band:.4f}")
 print("verdict:", "matches the closed form" if D <= band else "off")

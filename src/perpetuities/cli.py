@@ -246,7 +246,10 @@ def _out_file(args, name: str):
     while not os.path.exists(head):
         made.append(head)
         head = os.path.dirname(head)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file where a directory must be
+        raise ConfigurationError(f"cannot write to --out {out}: {exc}")
     path = os.path.join(out, name)
     tmp = os.path.join(out, f".{name}.{os.getpid()}.tmp")
     try:
@@ -367,11 +370,12 @@ def _cmd_limits(args) -> int:
                 raise ConfigurationError("the peak-family cdf needs --alpha")
             rows = [(x, float(peak_marginal_cdf(x, args.u, args.alpha))) for x in args.xs]
         lines = ["x,F"] + [f"{x!r},{f!r}" for x, f in rows]
+        config = _config_line(args)  # checks the flags on stdout too
         if args.out is None:
             print("\n".join(lines))
         else:
             with _out_file(args, "limits_cdf.csv") as fh:
-                fh.write(_config_line(args))
+                fh.write(config)
                 fh.write("\n".join(lines) + "\n")
             print(f"wrote {len(rows)} cdf rows")
         return 0

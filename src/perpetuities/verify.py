@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 import types
 
 import numpy as np
@@ -110,13 +109,12 @@ REPORT_TAGS = MARGINAL_TAGS + ("ForwardBackwardEquality", "FunctionalSup")
 # induced CDF error is about (gamma/u)^(c/a), far below KS noise here
 DEFAULT_LIMIT_GAMMA = 0.005
 
-# significance level of the asymptotic one-sample critical value
-DEFAULT_KS_LEVEL = 0.05
 # absolute bound on the one-sample KS distance D in verify_marginal
 DEFAULT_D_BOUND = 0.05
-DEFAULT_TWO_SAMPLE_LEVEL = 0.01
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# upper 5% and 1% points of the Kolmogorov distribution, P(K > x) = level:
+# scipy.special.kolmogi(0.05) and kolmogi(0.01), to the last bit
+KOLMOGOROV_5PCT = 1.3580986393225507
+KOLMOGOROV_1PCT = 1.6276236115189504
 
 
 def canonical_tag(text) -> str:
@@ -168,79 +166,18 @@ def two_sample_ks(first, second) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def _kolmogorov_tails(x: float):
-    """(P(K > x), P(K <= x)) of the Kolmogorov distribution, for x > 0.
-
-    From x = 1 up, the alternating series 2 sum (-1)^(k-1) e^(-2 k^2 x^2)
-    gives the upper tail; below it, the Jacobi form
-    sqrt(2 pi)/x sum e^(-(2k-1)^2 pi^2 / (8 x^2)) gives the lower one.
-    Each side keeps its relative precision where it is small.  Six terms
-    of the series and four of the Jacobi form reach double precision on
-    their ranges.
-    """
-    if x < 1.0:
-        a = math.pi / x
-        a = a * a / 8.0
-        # u + u^9 + u^25 + u^49 at u = e^-a, as u (1 + w (1 + w^2 (1 + w^3)))
-        # with w = u^8
-        w = math.exp(-8.0 * a)
-        lower = _SQRT_2PI / x * math.exp(-a) * (1.0 + w * (1.0 + w * w * (1.0 + w * w * w)))
-        return 1.0 - lower, lower
-    v = math.exp(-2.0 * x * x)
-    # v - v^4 + v^9 - ... = v (1 - v^3 (1 - v^5 (1 - ...)))
-    upper = 0.0
-    for k in range(6, 0, -1):
-        upper = v ** (2 * k - 1) * (1.0 - upper)
-    return 2.0 * upper, 1.0 - 2.0 * upper
-
-
-def _float_bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _bits_float(b: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", b))[0]
-
-
-def _kolmogi(level: float) -> float:
-    """The least float x with P(K > x) <= level, for level in (0, 1).
-
-    Bisection over the bit patterns of the floats in [0.04, 40], which
-    order like the floats: P(K > x) rounds to 1 below the bracket and to
-    0 above it.  Levels above 1/2 compare P(K <= x) with 1 - level
-    (exact there), so a level near 1 keeps its digits.
-    """
-    low_side = level > 0.5
-    target = 1.0 - level if low_side else level
-    lo, hi = _float_bits(0.04), _float_bits(40.0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        upper, lower = _kolmogorov_tails(_bits_float(mid))
-        if (lower >= target) if low_side else (upper <= target):
-            hi = mid
-        else:
-            lo = mid
-    return _bits_float(hi)
-
-
-def ks_threshold(reps: int, level: float = DEFAULT_KS_LEVEL) -> float:
-    """Asymptotic one-sample critical value at the given level."""
+def ks_threshold(reps: int) -> float:
+    """Asymptotic one-sample critical value at the 5% level."""
     reps = whole_number("replication count", reps)
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
-    return _kolmogi(level) / math.sqrt(reps)
+    return KOLMOGOROV_5PCT / math.sqrt(reps)
 
 
-def two_sample_threshold(
-    n_first: int, n_second: int, level: float = DEFAULT_TWO_SAMPLE_LEVEL
-) -> float:
-    """Two-sample critical value: c(level) * sqrt((n + m) / (n m))."""
+def two_sample_threshold(n_first: int, n_second: int) -> float:
+    """The 1% two-sample critical value, KOLMOGOROV_1PCT * sqrt((n + m) / (n m))."""
     n_first = whole_number("first sample size", n_first)
     n_second = whole_number("second sample size", n_second)
-    if not 0.0 < level < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
     ratio = (n_first + n_second) / (n_first * n_second)
-    return _kolmogi(level) * math.sqrt(ratio)
+    return KOLMOGOROV_1PCT * math.sqrt(ratio)
 
 
 # report columns in file order with their types; "pass" is D <= threshold

@@ -58,6 +58,8 @@ REQUESTS = {
     "suite-regvar1": [("verify", "--law", "regvar1")],
     "suite-heavynegm": [("verify", "--law", "heavynegm", "--T", "0.5")],
     "suite-jobs": [_SUITE + ("--jobs", "1"), _SUITE + ("--jobs", "3")],
+    # u != 1: no Pakes114 report, and the sup reads T = u
+    "suite-interior-u": [_SUITE + ("--u", "0.5")],
     "functionalsup": [("verify", "--theorem", "functionalsup", "--variant", "thm11-forward")],
     # no --law: the variant's preset law (regvar)
     "functionalsup-default-law": [("verify", "--theorem", "functionalsup",
@@ -75,6 +77,8 @@ REQUESTS = {
         f"limits-path-{kind}": [("limits", "path", "--kind", kind, "--R", "50")]
         for kind in ("backward", "peak")
     },
+    "limits-path-forward-grid": [("limits", "path", "--kind", "forward", "--grid-step", "0.01",
+                                  "--R", "5")],
     "limits-prm": [("limits", "prm", "--R", "20")],
     "limits-cdf": [("limits", "cdf", "--kind", "thm11", "--ca", "2", "--xs", "0.5,1,2")],
     **{

@@ -114,7 +114,7 @@ class TestAcceptance:
         bwd = limit_marginal_values(LimitKind.BACKWARD, spec, 5000)
         fwd = limit_marginal_values(LimitKind.FORWARD, spec, 5000, rep_start=5000)
         d_two = two_sample_ks(bwd, fwd)
-        thr = two_sample_threshold(5000, 5000, level=0.01)
+        thr = two_sample_threshold(5000, 5000)
         d_bwd = ks_statistic(np.sort(bwd), _drift_unit_cdf)
         d_fwd = ks_statistic(np.sort(fwd), _drift_unit_cdf)
         ok = d_two <= thr and d_bwd <= 0.03 and d_fwd <= 0.03

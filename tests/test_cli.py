@@ -68,6 +68,9 @@ class TestLimitsCdf:
         assert run(capsys, "limits", "cdf", "--kind", "thm11")[0] == 1
         assert run(capsys, "limits", "cdf", "--kind", "thm11", "--xs", "1")[0] == 1
         assert run(capsys, "limits", "cdf", "--kind", "thm9", "--xs", "1")[0] == 1
+        # a non-finite flag is refused on stdout as with --out
+        assert run(capsys, "limits", "cdf", "--kind", "thm11", "--ca", "1", "--alpha", "nan",
+                   "--xs", "1")[0] == 1
 
 
 class TestDomainChecks:
@@ -114,6 +117,16 @@ class TestDomainChecks:
         # the message speaks of the value, not of a private function
         assert re.search(r"\b_\w", err) is None, err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+    def test_out_naming_a_file(self, capsys, tmp_path, below):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept\n")
+        code, out, err = run(capsys, "limits", "cdf", "--ca", "1", "--xs", "1",
+                             "--out", str(afile.joinpath(*below)))
+        assert code == 1 and out == ""
+        assert "--out" in err and "unexpected" not in err
+        assert afile.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("argv", [("--n", "2.5", "--R", "1"), ("--n", "5", "--R", "2.5")],
                              ids=["n", "R"])

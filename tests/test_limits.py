@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.special import kolmogi
 from scipy.stats import ks_2samp, kstest
 
 from perpetuities.errors import ParameterError
@@ -24,7 +25,7 @@ from perpetuities.limits import (
     sample_prm,
 )
 from perpetuities.paths import PointMeasure
-from perpetuities.verify import TAG_RULES, ks_statistic, ks_threshold
+from perpetuities.verify import TAG_RULES, ks_statistic
 
 TWO_ATOMS = PointMeasure(3.0, [1.0, 2.0], [3.0, 1.0])
 
@@ -248,7 +249,7 @@ class TestSelfConsistency:
     def test_self_test_soundness(self):
         # at least 95 of 100 seeds pass
         rule, law = TAG_RULES["Thm11-backward"], preset_law("cauchy")
-        crit = ks_threshold(400, 0.01)
+        crit = float(kolmogi(0.01)) / 20.0
         passes = 0
         for seed in range(100):
             vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400)
@@ -257,7 +258,7 @@ class TestSelfConsistency:
 
     def test_peak_self_test(self):
         rule, law = TAG_RULES["Thm15-backward"], preset_law("regvar")
-        crit = ks_threshold(400, 0.01)
+        crit = float(kolmogi(0.01)) / 20.0
         for seed in range(10):
             vals = limit_marginal_values(rule.kind, rule.limit_spec(law, 1.0, seed), 400)
             D = ks_statistic(vals, rule.limit_cdf(law, 1.0))

@@ -1,12 +1,13 @@
-"""The KS quantile and the atom matcher equal the scipy routines they
-replaced.
+"""The KS critical values and the atom matcher equal the scipy routines
+they replaced.
 
-``verify._kolmogi`` solves P(K > x) = level over the floats, and
-``paths.point_match_distance`` tests perfect matchings with its own
-augmenting-path search.  The oracles below are ``scipy.special.kolmogi``
-and the bisection over ``scipy.sparse.csgraph.maximum_bipartite_matching``
-that the package used before; tests may import scipy, the package does
-not on these paths.
+``verify`` carries the upper 5% and 1% points of the Kolmogorov
+distribution as two literals, and ``paths.point_match_distance`` tests
+perfect matchings with its own augmenting-path search.  The oracles
+below are ``scipy.special.kolmogi`` and the bisection over
+``scipy.sparse.csgraph.maximum_bipartite_matching`` that the package
+used before; tests may import scipy, the package does not on these
+paths.
 """
 
 import math
@@ -22,22 +23,11 @@ from scipy.special import kolmogi
 from perpetuities import paths, verify
 from perpetuities.paths import PointMeasure, point_match_distance
 
-# both sides of 1/2, where the quantile compares different tails, down
-# to 1e-6 from level 1
-LEVELS = np.unique(np.concatenate([
-    np.logspace(-12, math.log10(0.5), 1500),
-    1.0 - np.logspace(-6, math.log10(0.5), 1500),
-]))
-
 
 @pytest.mark.parametrize("level", [0.01, 0.05])
 def test_kolmogi_is_scipys_at_the_gate_levels(level):
-    assert verify._kolmogi(level) == float(kolmogi(level))
-
-
-def test_kolmogi_matches_scipy_over_the_levels():
-    got = np.array([verify._kolmogi(float(p)) for p in LEVELS])
-    np.testing.assert_allclose(got, kolmogi(LEVELS), rtol=1e-13, atol=0)
+    literal = {0.01: verify.KOLMOGOROV_1PCT, 0.05: verify.KOLMOGOROV_5PCT}[level]
+    assert literal == float(kolmogi(level))
 
 
 def test_thresholds_are_the_scipy_formulas():

@@ -109,10 +109,10 @@ class TestTwoSampleKs:
     def test_threshold_coefficients(self):
         assert round(float(kolmogi(0.01)), 3) == 1.628
         assert round(float(kolmogi(0.05)), 3) == 1.358
-        got = two_sample_threshold(2000, 2000, 0.01)
+        got = two_sample_threshold(2000, 2000)
         np.testing.assert_allclose(got, kolmogi(0.01) * math.sqrt(2 / 2000), rtol=1e-12)
         np.testing.assert_allclose(
-            ks_threshold(400, 0.01), kolmogi(0.01) / 20.0, rtol=1e-12
+            ks_threshold(400), kolmogi(0.05) / 20.0, rtol=1e-12
         )
 
     def test_validation(self):
@@ -120,8 +120,6 @@ class TestTwoSampleKs:
             two_sample_ks([], [1.0])
         with pytest.raises(ParameterError):
             two_sample_threshold(0, 5)
-        with pytest.raises(ParameterError):
-            ks_threshold(100, 1.5)
 
 
 class TestReportObject:
@@ -290,7 +288,7 @@ class TestForwardBackwardEquality:
         rep = verify_forward_backward_equality(CAUCHY, 2000, 1.0, 2000, seed=13)
         assert rep.passed and rep.degenerate == 0
         np.testing.assert_allclose(
-            rep.threshold, two_sample_threshold(2000, 2000, 0.01), rtol=1e-12
+            rep.threshold, two_sample_threshold(2000, 2000), rtol=1e-12
         )
 
     def test_disjoint_streams_used(self):
