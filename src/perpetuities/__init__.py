@@ -6,10 +6,8 @@ extremal limit processes from truncated Poisson constructions, applies
 the smoothed signed-sum and running-max path functionals, and verifies
 the distributional statements connecting the two sides.
 
-Importing the package loads numpy only. Only the regime classifier's
-quadrature (``compute_A``, ``stability_integral_truncated``) calls scipy,
-and it imports scipy in its body, so every other command runs without
-loading it.
+The package depends on numpy alone: no module imports scipy, which
+only the tests use, as an oracle.
 """
 
 from importlib import metadata as _metadata
@@ -42,7 +40,6 @@ from .laws import (
     CoefficientLaw,
     Regime,
     classify_regime,
-    compute_A,
     compute_bn,
     draw_log_mq,
     law_from_dict,
@@ -50,7 +47,6 @@ from .laws import (
     mean_log_m,
     preset_law,
     quantile_log_q,
-    stability_integral_truncated,
     tail_Q,
 )
 from .limits import (
@@ -137,7 +133,6 @@ __all__ = [
     "check_conditions",
     "classify_regime",
     "compatible_tags",
-    "compute_A",
     "compute_bn",
     "convergence_demo",
     "default_gamma",
@@ -168,7 +163,6 @@ __all__ = [
     "signed_log_diff",
     "simulate_forward_chain_path",
     "simulate_perpetuity_path",
-    "stability_integral_truncated",
     "tail_Q",
     "two_sample_ks",
     "two_sample_threshold",

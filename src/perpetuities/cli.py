@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="regime classification as JSON")
     _add_law_flags(p)
-    _add_run_flags(p, "seed")
+    _add_run_flags(p)
 
     return parser
 
@@ -231,6 +231,19 @@ def _resolved(args, law=None) -> dict:
     return {k: v for k, v in sorted(d.items()) if v is not None}
 
 
+def _missing_dirs(out: str) -> list:
+    """The directories of the path ``out`` that do not exist yet, deepest
+    first; ConfigurationError if its first existing ancestor is not a
+    directory.  Creates nothing."""
+    made, head = [], os.path.normpath(out)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head) or "."
+    if not os.path.isdir(head):
+        raise ConfigurationError(f"cannot write to --out {out}: {head} is not a directory")
+    return made
+
+
 @contextlib.contextmanager
 def _out_file(args, name: str):
     """The text file ``name`` in ``--out`` (default: the working
@@ -242,13 +255,10 @@ def _out_file(args, name: str):
     a failed run leaves no file and an existing ``name`` keeps its bytes.
     """
     out = "." if args.out is None else args.out
-    made, head = [], os.path.abspath(out)
-    while not os.path.exists(head):
-        made.append(head)
-        head = os.path.dirname(head)
+    made = _missing_dirs(out)
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # a file where a directory must be
+    except OSError as exc:  # no permission, say; _missing_dirs refused a file in the way
         raise ConfigurationError(f"cannot write to --out {out}: {exc}")
     path = os.path.join(out, name)
     tmp = os.path.join(out, f".{name}.{os.getpid()}.tmp")
@@ -481,15 +491,13 @@ def _cmd_theorem21(args) -> int:
 
 
 def _finite_or_null(value):
-    """``value`` with each NaN or inf float, also in a tuple, as None (JSON null)."""
-    if isinstance(value, tuple):
-        return tuple(map(_finite_or_null, value))
+    """``value``, or None (JSON null) for a NaN or inf float."""
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _cmd_classify(args) -> int:
     law = _resolve_law(args)
-    regime = classify_regime(law, rng=np.random.default_rng(args.seed))
+    regime = classify_regime(law)
     payload = {key: _finite_or_null(value) for key, value in dataclasses.asdict(regime).items()}
     doc = {"config": _resolved(args, law), "regime": payload}
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
@@ -519,6 +527,8 @@ def main(argv=None) -> int:
             # <mode>` is two words), so an explicit flag still wins
             k = 2 if args.command == "limits" else 1
             args = parser.parse_args(argv[:k] + _config_flags(args) + argv[k:])
+        if args.out is not None:
+            _missing_dirs(args.out)  # a bad --out fails before the run, not after it
         return _HANDLERS[args.command](args)
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

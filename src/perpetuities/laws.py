@@ -22,7 +22,7 @@ the empirical tail of log|Q| matches tail_Q identically in distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -185,30 +185,39 @@ def mean_log_m(law: CoefficientLaw) -> float:
     return -law.a
 
 
-def _h(t):
-    # antiderivative of the standard normal CDF: h'(t) = ndtr(t); the
-    # second term is the normal density
-    from scipy.special import ndtr
+# each contractive family's verdict and reason.  Goldie and Maller, "Stability
+# of perpetuities", Ann. Probab. 28 (2000): with E log|M| < 0, Y_n converges
+# a.s. iff the integral of x / A(x) against P{log+|Q| in dx} is finite, where
+# A(x) = E min(log^-|M|, x); each family's exact tails settle it in closed form.
+_CONTRACTIVE_REGIMES = {
+    "CauchyTail": ("DivergentContractive",
+                   "E log|Q| is infinite (P{log|Q| > x} = c/x) while E log^-|M| is finite"),
+    "RegVarTail": ("DivergentContractive",
+                   "E log|Q| is infinite (P{log|Q| > x} >= 1/x) while E log^-|M| is finite"),
+    "HeavyNegM": ("DivergentContractive",
+                  "the Goldie-Maller integrand is of order x^(beta-alpha-1), beta > alpha"),
+    "ConvergentControl": ("ConvergentPerpetuity",
+                          "E log|Q| is finite, log|Q| >= 1 and E min(log^-|M|, 1) > 0"),
+    "Degenerate": ("ConvergentPerpetuity", "Q is a point mass and |m0| < 1: a geometric series"),
+}
 
-    return t * ndtr(t) + np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+@dataclass(frozen=True)
+class Regime:
+    """Classification verdict, the exact E log|M| and the rule's reason."""
+
+    tag: str
+    mean_log_m: float
+    reason: str
 
 
-def compute_A(law: CoefficientLaw, x):
-    """A(x) = E min(log^-|M|, x), the truncated mean of the contraction
-    part; equals the integral of P{log^-|M| > u} over [0, x]."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise ParameterError("truncation point must be positive")
-    if law.family == "HeavyNegM":
-        b = law.beta
-        out = np.where(x <= 1.0, x, 1.0 + (np.maximum(x, 1.0) ** (1.0 - b) - 1.0) / (1.0 - b))
-    elif law.family == "Degenerate":
-        level = max(-math.log(abs(law.m0)), 0.0)
-        out = np.minimum(x, level)
-    else:
-        mu = mean_log_m(law)
-        out = _h(-mu) - _h(-mu - x)
-    return out if out.ndim else float(out)
+def classify_regime(law: CoefficientLaw) -> Regime:
+    """NonContractive when E log|M| >= 0, else the verdict of the law's family."""
+    drift = mean_log_m(law)
+    if drift >= 0:
+        return Regime("NonContractive", drift, "E log|M| >= 0: the products of M do not contract")
+    tag, reason = _CONTRACTIVE_REGIMES[law.family]
+    return Regime(tag, drift, reason)
 
 
 def compute_bn(law: CoefficientLaw, n: int) -> float:
@@ -219,91 +228,6 @@ def compute_bn(law: CoefficientLaw, n: int) -> float:
             f"{law.family} has no regularly varying log|Q| tail"
         )
     return quantile_log_q(law, 1.0 / whole_number("n", n))
-
-
-def _log_q_density_logscale(law: CoefficientLaw, w):
-    # x^2 * density of log|Q| at x = e^w, used under the substitution
-    # x = e^w so that integrands stay bounded over huge ranges
-    x = np.exp(w)
-    if law.family == "CauchyTail":
-        return law.c * np.ones_like(x)
-    if law.family in ("RegVarTail", "HeavyNegM"):
-        if law.family == "RegVarTail" and law.alpha == 1.0:
-            return np.log(x)
-        return law.alpha * x ** (1.0 - law.alpha)
-    if law.family in ("ConvergentControl", "ExpandingControl"):
-        return x * x * np.exp(1.0 - x)
-    raise UnsupportedFamilyError("point-mass law has no density")
-
-
-def stability_integral_truncated(law: CoefficientLaw, level: float) -> float:
-    """E[ log|Q| / A(log|Q|) ; 0 < log|Q| <= level ], by quadrature.
-
-    The full integral (level = infinity) is finite exactly when the
-    perpetuity converges, given a contractive M.
-    """
-    if not level > 0:
-        raise ParameterError("truncation level must be positive")
-    if law.family == "Degenerate":
-        v = math.log(abs(law.q0))
-        if v <= 0 or v > level:
-            return 0.0
-        return v / compute_A(law, v)
-    w0 = math.log(law.x0)
-    w1 = math.log(level)
-    if w1 <= w0:
-        return 0.0
-
-    def integrand(w):
-        return _log_q_density_logscale(law, w) / compute_A(law, math.exp(w))
-
-    from scipy.integrate import quad
-
-    val, _ = quad(integrand, w0, w1, epsrel=1e-8, limit=200)
-    return float(val)
-
-
-# evidence behind classify_regime: Monte Carlo draws of log|M|, the
-# geometric ladder e^1 .. e^21 of log|Q| truncation levels, and the growth
-# ratio of the truncated integrals above which it is called divergent
-MC_SAMPLES = 10_000
-TRUNCATION_LEVELS = tuple(math.exp(k) for k in range(1, 22))
-RATIO_THRESHOLD = 10.0
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Classification verdict with the evidence it rests on."""
-
-    tag: str
-    mean_log_m: float
-    mean_log_m_mc: float
-    truncation_levels: tuple = field(default_factory=tuple)
-    integral_estimates: tuple = field(default_factory=tuple)
-    growth_ratio: float = float("nan")
-    ratio_threshold: float = RATIO_THRESHOLD
-
-
-def classify_regime(law: CoefficientLaw, rng=None) -> Regime:
-    """Decide among NonContractive / DivergentContractive / ConvergentPerpetuity.
-
-    Contractivity comes from the exact E log|M| (Monte Carlo shown as
-    evidence only).  Divergence of the control integral is detected by
-    growth of its truncated values across the level ladder: divergent
-    integrals keep growing, convergent ones level off.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    drift = mean_log_m(law)
-    _, log_m, _, _ = draw_log_mq(law, rng, MC_SAMPLES)
-    drift_mc = float(np.mean(log_m))
-    if drift >= 0:
-        return Regime("NonContractive", drift, drift_mc, TRUNCATION_LEVELS, ())
-    estimates = [stability_integral_truncated(law, lev) for lev in TRUNCATION_LEVELS]
-    first = next((e for e in estimates if e > 0), 0.0)
-    ratio = estimates[-1] / first if first > 0 else 1.0
-    tag = "DivergentContractive" if ratio > RATIO_THRESHOLD else "ConvergentPerpetuity"
-    return Regime(tag, drift, drift_mc, TRUNCATION_LEVELS, tuple(estimates), ratio)
 
 
 # ---------------------------------------------------------------------------

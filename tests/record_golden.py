@@ -31,7 +31,7 @@ import numpy as np
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 SEEDS = (0, 7)
 # commands that take no --seed run once, recorded with seed None
-UNSEEDED = ("limits-cdf",)
+UNSEEDED = ("limits-cdf", "classify", "classify-cauchy-large-c", "classify-heavynegm")
 
 _SUITE = ("verify", "--law", "cauchy", "--n", "500", "--R", "200")
 _SMALL_SIM = ("--n", "200", "--R", "20", "--T", "2", "--x0", "0.5")
@@ -86,6 +86,9 @@ REQUESTS = {
         for instance in ("mixed-sign", "all-plus", "single-atom", "prm")
     },
     "classify": [("classify", "--law", "cauchy")],
+    # a tail that starts late (c > e^15) and an infinite E log|M| (JSON null)
+    "classify-cauchy-large-c": [("classify", "--law", "cauchy", "--c", "3.3e6")],
+    "classify-heavynegm": [("classify", "--law", "heavynegm")],
     # failures leave --out as it was (here: not created)
     "exit1-grid-step": [("limits", "path", "--kind", "forward", "--grid-step", "1e-12")],
     "exit1-n-zero": [("simulate", "--n", "0")],

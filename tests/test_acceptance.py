@@ -23,7 +23,7 @@ from perpetuities.functionals import (
     fn_functional,
     g_functional,
 )
-from perpetuities.laws import classify_regime, compute_bn, preset_law
+from perpetuities.laws import PRESET_NAMES, classify_regime, compute_bn, preset_law
 from perpetuities.limits import (
     LimitKind,
     PrmSpec,
@@ -269,22 +269,17 @@ class TestAcceptance:
     def test_criterion_11_regime_classifier(self):
         expected = {
             "cauchy": "DivergentContractive",
+            "regvar": "DivergentContractive",
+            "regvar1": "DivergentContractive",
+            "heavynegm": "DivergentContractive",
             "convergent": "ConvergentPerpetuity",
             "expanding": "NonContractive",
+            "degenerate": "ConvergentPerpetuity",
         }
-        seen = {}
-        for name, want in expected.items():
-            law = preset_law(name)
-            tags = {
-                classify_regime(law, rng=np.random.default_rng(s)).tag
-                for s in range(20)
-            }
-            seen[name] = tags
-        ok = all(seen[name] == {want} for name, want in expected.items())
-        _report(11, ok, "20-seed unanimous: "
-                        + ", ".join(f"{k}->{next(iter(v))}" for k, v in seen.items()))
-        for name, want in expected.items():
-            assert seen[name] == {want}, f"{name}: {seen[name]}"
+        seen = {name: classify_regime(preset_law(name)).tag for name in PRESET_NAMES}
+        ok = seen == expected
+        _report(11, ok, "exact verdicts: " + ", ".join(f"{k}->{v}" for k, v in seen.items()))
+        assert seen == expected
 
     def test_criterion_12_cli_reproducibility(self, tmp_path, capsys):
         commands = {

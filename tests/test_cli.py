@@ -12,7 +12,7 @@ import perpetuities.functionals as functionals
 import perpetuities.simulate as simulate_module
 from perpetuities.cli import main
 from perpetuities.errors import ParameterError, StatisticalError
-from perpetuities.laws import Regime, classify_regime, draw_log_mq, preset_law
+from perpetuities.laws import draw_log_mq, preset_law
 from perpetuities.limits import PrmSpec, sample_prm
 from perpetuities.verify import (
     two_sample_threshold,
@@ -128,6 +128,18 @@ class TestDomainChecks:
         assert "--out" in err and "unexpected" not in err
         assert afile.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+    def test_bad_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch, below):
+        calls = []
+        monkeypatch.setattr(cli, "_run_verification", lambda *a: calls.append(a) or [])
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept\n")
+        code, out, err = run(capsys, "verify", "--law", "cauchy", "--n", "50", "--R", "100",
+                             "--out", str(afile.joinpath(*below)))
+        assert code == 1 and out == "" and "--out" in err
+        assert calls == []
+        assert afile.read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize("argv", [("--n", "2.5", "--R", "1"), ("--n", "5", "--R", "2.5")],
                              ids=["n", "R"])
     def test_count_flags_fail_alike(self, capsys, argv):
@@ -149,6 +161,8 @@ class TestUnreadFlags:
         (("theorem21", "--threshold", "2"), None),
         (("classify", "--law", "cauchy", "--n", "5"), None),
         (("classify", "--law", "cauchy"), {"n": 5}),
+        (("classify", "--law", "cauchy", "--seed", "0"), None),
+        (("classify", "--law", "cauchy"), {"seed": 0}),
         (("limits", "cdf", "--ca", "1", "--xs", "1"), {"seed": 1}),
         (("limits", "path", "--R", "1"), {"u": 0.5}),
         (("theorem21",), {"R": 5}),
@@ -158,6 +172,7 @@ class TestUnreadFlags:
         (("simulate", "--n", "5", "--R", "1", "--ch", "forward"), None),
     ], ids=["simulate-u", "cdf-seed", "cdf-grid-step", "prm-kind", "path-n",
             "theorem21-R", "theorem21-threshold", "classify-n", "classify-config-n",
+            "classify-seed", "classify-config-seed",
             "cdf-config-seed", "path-config-u", "theorem21-config-R",
             "theorem21-prefix-of-ns", "verify-threshold",
             "simulate-prefix-of-chain"])
@@ -194,7 +209,7 @@ class TestConfigKeys:
          {"law", "n", "T", "u", "R", "seed", "theorem"}),
         (("theorem21", "--instance", "single-atom", "--ns", "10,20"), "theorem21_decay.csv",
          {"T", "seed", "instance", "ns", "gamma"}),
-        (("classify", "--law", "cauchy"), "classify_regime.json", {"law", "seed"}),
+        (("classify", "--law", "cauchy"), "classify_regime.json", {"law"}),
     ], ids=["simulate", "limits-cdf", "limits-prm", "limits-path", "verify",
             "verify-marginal-variant", "theorem21", "classify"])
     def test_keys(self, capsys, tmp_path, argv, name, keys):
@@ -661,28 +676,6 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--law", "heavynegm")
         assert code == 0
         assert self.strict_json(out)["regime"]["mean_log_m"] is None
-
-    def test_non_finite_tuple_entries_are_null(self, capsys, monkeypatch):
-        regime = Regime("ConvergentPerpetuity", -1.0, -1.0, (1.0, float("inf")),
-                        (float("nan"), 2.0), float("inf"))
-        monkeypatch.setattr(cli, "classify_regime", lambda law, rng: regime)
-        code, out, _ = run(capsys, "classify", "--law", "cauchy")
-        assert code == 0
-        doc = self.strict_json(out)["regime"]
-        assert doc["truncation_levels"] == [1.0, None]
-        assert doc["integral_estimates"] == [None, 2.0]
-        assert doc["growth_ratio"] is None
-
-    def test_seed_drives_the_monte_carlo_evidence(self, capsys):
-        law = preset_law("cauchy")
-        mc = {}
-        for seed in (0, 5):
-            code, out, _ = run(capsys, "classify", "--law", "cauchy", "--seed", str(seed))
-            assert code == 0
-            mc[seed] = json.loads(out)["regime"]["mean_log_m_mc"]
-        assert mc[0] == classify_regime(law).mean_log_m_mc
-        assert mc[5] == classify_regime(law, rng=np.random.default_rng(5)).mean_log_m_mc
-        assert mc[5] != mc[0]
 
 
 class TestConfigFile:

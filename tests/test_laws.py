@@ -1,4 +1,4 @@
-"""Tests for coefficient-law construction, tails, A, b_n, and the classifier."""
+"""Tests for coefficient-law construction, tails, b_n, and the classifier."""
 
 import math
 import warnings
@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from perpetuities.errors import (
     ConfigurationError,
@@ -18,10 +16,9 @@ from perpetuities.errors import (
 from perpetuities import laws
 from perpetuities.laws import (
     FAMILIES,
-    TRUNCATION_LEVELS,
+    PRESET_NAMES,
     CoefficientLaw,
     classify_regime,
-    compute_A,
     compute_bn,
     draw_log_mq,
     law_from_dict,
@@ -29,7 +26,6 @@ from perpetuities.laws import (
     mean_log_m,
     preset_law,
     quantile_log_q,
-    stability_integral_truncated,
     tail_Q,
 )
 
@@ -57,16 +53,6 @@ def _bisection_quantile(u):
         lo = np.where(too_low, mid, lo)
         hi = np.where(too_low, hi, mid)
     return np.exp(0.5 * (lo + hi))
-
-
-def survival_neg_log_m_reference(law, u):
-    # independent reimplementation from the family definitions
-    if law.family == "HeavyNegM":
-        return 1.0 if u < 1.0 else u ** (-law.beta)
-    if law.family == "Degenerate":
-        return 1.0 if u < max(-math.log(abs(law.m0)), 0.0) else 0.0
-    mu = law.a if law.family == "ExpandingControl" else -law.a
-    return norm.cdf(-u - mu)
 
 
 class TestConstruction:
@@ -236,53 +222,6 @@ class TestMeanLogM:
         )
 
 
-class TestComputeA:
-    def test_heavy_m_closed_form(self):
-        law = CoefficientLaw("HeavyNegM", alpha=0.5, beta=0.75)
-        np.testing.assert_allclose(compute_A(law, 1.0), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(compute_A(law, 16.0), 5.0, rtol=1e-12)
-        np.testing.assert_allclose(compute_A(law, 0.25), 0.25, rtol=1e-12)
-
-    def test_vanishes_at_zero(self):
-        for law in RANDOM_FAMILIES:
-            assert compute_A(law, 1e-12) < 1e-11
-
-    def test_rejects_nonpositive(self):
-        for x in (0.0, math.nan):
-            with pytest.raises(ParameterError):
-                compute_A(RANDOM_FAMILIES[0], x)
-
-    def test_matches_quadrature(self):
-        laws = RANDOM_FAMILIES + [CoefficientLaw("Degenerate", m0=0.5, q0=1.0)]
-        for law in laws:
-            for x in np.linspace(0.05, 40.0, 20):
-                ref, _ = quad(
-                    lambda u: survival_neg_log_m_reference(law, u),
-                    0.0,
-                    x,
-                    points=[v for v in (1.0, math.log(2.0)) if v < x],
-                    limit=200,
-                )
-                np.testing.assert_allclose(compute_A(law, x), ref, rtol=1e-6, atol=1e-12)
-
-    def test_monotone_concave(self):
-        xs = np.linspace(0.1, 50.0, 200)
-        for law in RANDOM_FAMILIES:
-            vals = compute_A(law, xs)
-            d = np.diff(vals)
-            assert np.all(d >= -1e-12)
-            assert np.all(np.diff(d) <= 1e-9)
-
-    def test_heavy_m_dominates_q_tail(self):
-        # A(x) / (x P{log|Q| > x}) decreasing to 0 along x = 10^k
-        law = preset_law("heavynegm")
-        xs = 10.0 ** np.arange(1, 7)
-        ratio = compute_A(law, xs) / (xs * tail_Q(law, xs))
-        assert np.all(np.diff(ratio) < 0)
-        # decay rate is x^{beta-1} = x^{-1/4} for the bundled parameters
-        assert ratio[-1] < 0.15 * ratio[0]
-
-
 class TestComputeBn:
     def test_closed_form_alpha_half(self):
         law = CoefficientLaw("RegVarTail", alpha=0.5)
@@ -323,44 +262,6 @@ class TestComputeBn:
             compute_bn(preset_law("regvar", alpha=0.01), 2000)
 
 
-class TestStabilityIntegral:
-    def test_cauchy_grows_logarithmically(self):
-        law = preset_law("cauchy")
-        vals = [stability_integral_truncated(law, lev) for lev in TRUNCATION_LEVELS]
-        assert np.all(np.diff(vals) > 0)
-        assert vals[-1] / vals[0] > 10
-
-    def test_convergent_levels_off(self):
-        law = preset_law("convergent")
-        vals = [stability_integral_truncated(law, lev) for lev in TRUNCATION_LEVELS]
-        assert vals[-1] / vals[0] < 3
-        assert vals[-1] - vals[-2] < 1e-8
-
-    def test_matches_riemann_oracle(self):
-        # independent check: fine midpoint rule on the log scale for the
-        # CauchyTail integrand c / A(e^w)
-        law = preset_law("cauchy")
-        level = math.exp(8.0)
-        w = np.linspace(0.0, 8.0, 200_001)
-        mid = 0.5 * (w[1:] + w[:-1])
-        integrand = law.c / compute_A(law, np.exp(mid))
-        riemann = float(np.sum(integrand) * (w[1] - w[0]))
-        np.testing.assert_allclose(
-            stability_integral_truncated(law, level), riemann, rtol=1e-6
-        )
-
-    def test_degenerate_value(self):
-        law = CoefficientLaw("Degenerate", m0=0.5, q0=math.exp(2.0))
-        expect = 2.0 / compute_A(law, 2.0)
-        np.testing.assert_allclose(stability_integral_truncated(law, 100.0), expect)
-        assert stability_integral_truncated(CoefficientLaw("Degenerate", m0=0.5, q0=0.5), 100.0) == 0.0
-
-    @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
-    def test_rejects_nonpositive_level(self, level):
-        with pytest.raises(ParameterError):
-            stability_integral_truncated(preset_law("cauchy"), level)
-
-
 class TestClassifyRegime:
     def test_bundled_presets(self):
         assert classify_regime(preset_law("cauchy")).tag == "DivergentContractive"
@@ -374,16 +275,32 @@ class TestClassifyRegime:
         r = classify_regime(CoefficientLaw("Degenerate", m0=0.5, q0=7.0))
         assert r.tag == "ConvergentPerpetuity"
 
-    def test_evidence_fields(self):
-        r = classify_regime(preset_law("cauchy"), rng=np.random.default_rng(3))
-        assert r.mean_log_m == -1.0
-        assert abs(r.mean_log_m_mc + 1.0) < 0.05
-        assert len(r.integral_estimates) == len(r.truncation_levels)
-        assert r.growth_ratio > r.ratio_threshold
+    @pytest.mark.parametrize("c", [1.0, 3e6, 3.3e6, 1e8])
+    def test_every_cauchy_law_diverges(self, c):
+        # E log|Q| is infinite at every c, however late the tail starts
+        r = classify_regime(preset_law("cauchy", c=c))
+        assert (r.tag, r.mean_log_m) == ("DivergentContractive", -1.0)
 
-    def test_noncontractive_skips_integral(self):
-        r = classify_regime(preset_law("expanding"))
-        assert r.integral_estimates == ()
+    @pytest.mark.parametrize("m0, tag", [
+        (0.5, "ConvergentPerpetuity"),
+        (-1.0, "NonContractive"),
+        (2.0, "NonContractive"),
+    ])
+    def test_degenerate_contracts_below_one(self, m0, tag):
+        assert classify_regime(CoefficientLaw("Degenerate", m0=m0)).tag == tag
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_regvar_diverges(self, alpha):
+        assert classify_regime(preset_law("regvar", alpha=alpha)).tag == "DivergentContractive"
+
+    def test_every_family_has_a_rule(self):
+        # ExpandingControl is never contractive; every other family needs a row
+        assert sorted([*laws._CONTRACTIVE_REGIMES, "ExpandingControl"]) == sorted(FAMILIES)
+
+    def test_each_verdict_gives_its_reason(self):
+        for name in PRESET_NAMES:
+            reason = classify_regime(preset_law(name)).reason
+            assert reason and "\n" not in reason
 
 
 class TestConfigSchema:

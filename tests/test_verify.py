@@ -1,6 +1,7 @@
 """Tests for the KS machinery and the verification suites."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import kolmogi
 
+import perpetuities.verify as verify_module
 from perpetuities.cli import write_reports_csv, write_reports_json
 from perpetuities.errors import ConfigurationError, ParameterError, StatisticalError
 from perpetuities.laws import PRESET_NAMES, compute_bn, preset_law
@@ -21,6 +23,7 @@ from perpetuities.simulate import (
     forward_marginal_values,
 )
 from perpetuities.verify import (
+    DEFAULT_D_BOUND,
     MARGINAL_TAGS,
     REPORT_TAGS,
     TAG_RULES,
@@ -262,6 +265,32 @@ class TestVerifyMarginal:
             verify_marginal("thm11-backward", CAUCHY, 500, 1.0, 0, seed=1)
         with pytest.raises(ParameterError):
             verify_marginal("thm11-backward", CAUCHY, 500, 1.0, 99, seed=1)
+
+
+class TestOffTheSymmetricPoint:
+    # at c = a = 1 the limit CDF (x/(x+u))^(c/a) reads the same with its
+    # exponent inverted, and the scale a n is n; off that point both
+    # mistakes must push D far above the gate on the very sample that passes
+    @pytest.mark.parametrize("a, c", [(2.0, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("tag", ["thm11-backward", "thm11-forward"])
+    def test_swapped_exponent_and_unscaled_n_fail(self, monkeypatch, tag, a, c):
+        law = preset_law("cauchy", a=a, c=c)
+        rule = TAG_RULES[canonical_tag(tag)]
+        name = f"{rule.chain}_marginal_values"
+        drawn, sampler = [], getattr(verify_module, name)
+
+        def recording(*args):
+            drawn.append(sampler(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify_module, name, recording)
+        rep = verify_marginal(tag, law, 2000, 1.0, 1000, seed=7)
+        assert rep.passed and rep.degenerate == 0
+        (values,) = [v for v, flags in drawn]
+        swapped = rule.limit_cdf(dataclasses.replace(law, a=c, c=a), 1.0)
+        assert ks_statistic(values / (a * 2000), rule.limit_cdf(law, 1.0)) == rep.D
+        assert ks_statistic(values / (a * 2000), swapped) > DEFAULT_D_BOUND
+        assert ks_statistic(values / 2000, rule.limit_cdf(law, 1.0)) > DEFAULT_D_BOUND
 
 
 class TestForwardBackwardEquality:
